@@ -21,7 +21,7 @@ from qasa.simulator import RawCounts
 # a realistic qubit: slope ~11, slight bias, visible noise and saturation
 truth = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
 
-design = SweepDesign(fields=field_grid(), samples_per_field=500_000, seed=7, label="demo")
+design = SweepDesign(fields=field_grid(), samples_per_field=500_000, seed=7)
 counts = RawCounts(
     h=np.array(design.fields),
     samples=np.full(len(design.fields), design.samples_per_field, dtype=np.int64),
@@ -38,7 +38,7 @@ print("\nrecovered parameters:")
 for name in ("beta", "b", "eta", "gamma"):
     print(f"  {name:>5} = {getattr(result.params, name):9.5f}"
           f"   (truth {getattr(truth, name):9.5f})")
-print(f"  converged={result.converged}, winning start={result.start_index}")
+print(f"  converged={result.converged}")
 
 # the gamma term flattens the curve at large |h| relative to the classical line
 h = np.array([0.5, 0.8, 1.0])

@@ -19,9 +19,7 @@ points = []
 for t in times_us:
     beta_t = 10.5 + slope * np.log(t)
     truth = {q: QubitParams(beta_t, 0.0025, 0.0367, 0.0176) for q in spec.operational}
-    design = SweepDesign(
-        fields=field_grid(), samples_per_field=100_000, seed=int(t), label=f"{t:g}us"
-    )
+    design = SweepDesign(fields=field_grid(), samples_per_field=100_000, seed=int(t))
     results, _ = fit_chip(simulate_chip(truth, design))
     pt = sweep_point(t, results)
     points.append(pt)

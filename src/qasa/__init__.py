@@ -18,7 +18,6 @@ from .model import (
 from .simulator import RawCounts, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
 from .estimator import (
     EffectiveFieldEstimate,
-    FitConfig,
     FitResult,
     empirical_estimates,
     fit_chip,

@@ -32,7 +32,7 @@ from .data_io import (
     write_raw,
     write_report,
 )
-from .estimator import FitConfig, FitError, empirical_estimates, fit_chip
+from .estimator import FitError, empirical_estimates, fit_chip
 from .model import ParameterError
 from .presets import PRESETS, preset_truth
 from .simulator import CoverageError, DesignError, RawCounts, SweepDesign, field_grid, simulate_chip
@@ -81,7 +81,7 @@ def cmd_simulate(args, started):
     spec = parse_chip(args.chip)
     truth = _load_truth(args.truth, spec)
     fields = field_grid(args.h_min, args.h_max, args.h_step)
-    design = SweepDesign(fields=fields, samples_per_field=args.samples, seed=args.seed, label=args.label)
+    design = SweepDesign(fields=fields, samples_per_field=args.samples, seed=args.seed)
     operational = spec.operational if args.truth.startswith("preset:") else sorted(truth)
     counts = simulate_chip(truth, design, operational=operational)
     write_raw(counts, args.out)
@@ -97,9 +97,7 @@ def cmd_fit(args, started):
         if unknown:
             raise FormatError(f"qubits not in input: {sorted(unknown)}")
         counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
-    workers = args.workers or int(os.environ.get("QASA_WORKERS", "1"))
-    config = FitConfig(n_starts=args.starts)
-    results, failures = fit_chip(counts, config, workers=workers)
+    results, failures = fit_chip(counts, workers=args.workers)
     spec = _infer_spec(counts.qubit_ids, args.orientation_convention)
     write_params(results, spec, args.out)
     _write_manifest(args.out, "fit", vars(args), None, started)
@@ -184,7 +182,6 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=5_000_000,
                    help="samples per field (default 5000000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--label", default="1us", help="free-form dataset annotation (default 1us)")
     p.add_argument("--out", required=True, help="output raw CSV path")
     p.set_defaults(func=cmd_simulate)
 
@@ -192,11 +189,8 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
     p.add_argument("--out", required=True, help="output params CSV path")
     p.add_argument("--qubits", type=int, nargs="+", help="restrict to these qubit ids")
-    p.add_argument("--workers", type=int, default=0,
-                   help="parallel workers (default QASA_WORKERS env or 1)")
-    p.add_argument("--starts", type=int, default=4, help="multi-start count (default 4)")
-    p.add_argument("--confidence", type=float, default=0.997,
-                   help="CI coverage recorded in the manifest (default 0.997)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the output is identical for any value")
     p.add_argument("--orientation-convention", choices=["vertical-low-k", "horizontal-low-k"],
                    default="vertical-low-k",
                    help="which intra-cell index half is vertical (default vertical-low-k)")

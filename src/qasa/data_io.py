@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -76,6 +77,8 @@ def read_raw(path) -> RawCounts:
                 samples = int(row[1])
             except ValueError:
                 _fail(path, line_no, f"non-numeric h or samples: {row[:2]}")
+            if not math.isfinite(h):
+                _fail(path, line_no, f"non-finite h {row[0]!r}")
             if samples <= 0:
                 _fail(path, line_no, f"samples must be positive, got {samples}")
             counts = {}
@@ -164,7 +167,6 @@ def read_params(path) -> dict:
                 params=params,
                 log_likelihood=float(row.get("log_likelihood") or "nan"),
                 converged=(row.get("converged") or "true") == "true",
-                start_index=0,
                 n_points=int(row.get("n_points") or 0),
                 total_samples=int(row.get("total_samples") or 0),
             )

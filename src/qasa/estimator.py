@@ -3,19 +3,38 @@
 Workflow: turn counts into empirical effective fields with confidence
 intervals, evaluate the model likelihood
 L = sum_h w_h * (h_eff(h) * m_h - log cosh h_eff(h)), and maximize it over
-(beta, b, eta, gamma) with a multi-start local search inside a fixed box.
-Weights w_h = M_h / sum(M) handle unequal per-field sample counts and reduce
-to uniform weighting when M is constant.
+(beta, b, eta, gamma) inside a fixed box.  Weights w_h = M_h / sum(M)
+handle unequal per-field sample counts and reduce to uniform weighting
+when M is constant.
+
+With T = tanh(h_eff) the model's spin mean, each term equals
+(1 + m)/2 * log(1 + T) + (1 - m)/2 * log(1 - T), which is how it is
+evaluated: on the cancellation-free halves 1 -+ T from the mixture kernel.
+
+The maximizer is Fisher scoring, the standard method for generalized
+linear models (McCullagh & Nelder, *Generalized Linear Models*), run on
+blocks of qubits at once from a data-driven start.  Each step solves the
+expected information I = sum_h w_h dT dT^T / (1 - T^2), one 4x4 matrix
+per qubit, against the score g, with Levenberg-Marquardt damping: a step
+that does not raise L is refused and the damping raised (eta and gamma
+step in their squares, see `_ZERO_FLOOR`).  Box edges are handled by an
+active set: a parameter on an edge that the score pushes against stays
+fixed.  A qubit has converged once its Newton decrement g^T I^-1 g (twice
+the gain a full step predicts) is below `_DECREMENT_TOL`, or has stalled
+at the rounding floor of its score (`_DECREMENT_FINE`), and is then left
+as it is.  Every operation acts on each qubit's row alone and sums in a
+fixed order (`_rowsum`), so a fit does not depend on which qubits share
+its block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import optimize, stats
 
-from .model import QubitParams, _one_minus_plus, effective_field
+from .model import QubitParams, _mixture, _theta
 from .simulator import RawCounts
 
 # Search box; brackets every parameter value seen in practice by a wide margin.
@@ -25,12 +44,39 @@ BOX = {
     "eta": (0.0, 0.5),
     "gamma": (0.0, 0.5),
 }
-_BOX_LO = np.array([BOX[k][0] for k in ("beta", "b", "eta", "gamma")])
+# eta and gamma enter the model only through their squares, so zero is a
+# stationary point of the likelihood in each: a fit placed exactly there
+# would see a zero score and could never leave, even with its maximum
+# elsewhere.  The fitter's floor for them is therefore a hair above zero,
+# where the sign of the score still says which way the maximum lies; the
+# model there differs from zero noise by ~1e-16.  For the same reason their
+# steps are taken in eta^2 and gamma^2, in which the likelihood is smooth
+# through zero and a Newton step from the floor lands where it should.
+_ZERO_FLOOR = 1e-8
+_BOX_LO = np.array([BOX["beta"][0], BOX["b"][0], _ZERO_FLOOR, _ZERO_FLOOR])
 _BOX_HI = np.array([BOX[k][1] for k in ("beta", "b", "eta", "gamma")])
 
 # Threshold below which a fitted noise value may just be grid-resolution
 # artifact rather than true low noise.
 LOW_ETA = 0.005
+
+# Qubits fitted together; bounds the fitter's working memory.
+_BLOCK = 256
+_MAX_ITER = 500
+# Converged: a full step would gain less than half of this in L.
+_DECREMENT_TOL = 1e-20
+# Below this decrement a step's gain in L is too small for L's rounding
+# to judge, so a step must shrink the decrement instead, and may lower L
+# by no more than _LL_SLACK.  A qubit whose steps there are refused up to
+# the largest damping has hit the rounding floor of its score, and has
+# converged too.
+_DECREMENT_FINE = 1e-12
+_LL_SLACK = 1e-14
+# Ridge on the unit-diagonal information; keeps every 4x4 solve regular.
+_RIDGE = 1e-14
+_DAMPING = (1e-3, 1e8)  # initial and largest Levenberg-Marquardt damping
+# Floor on 1 -+ T against underflow at fields far outside [-1, 1].
+_TINY = 1e-300
 
 
 class FitError(ValueError):
@@ -50,18 +96,10 @@ class EffectiveFieldEstimate:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    n_starts: int = 4
-    rel_tol: float = 1e-10
-    max_iter: int = 10_000
-
-
-@dataclass(frozen=True)
 class FitResult:
     params: QubitParams
     log_likelihood: float
     converged: bool
-    start_index: int
     n_points: int
     total_samples: int
     flags: tuple = field(default=())
@@ -88,7 +126,7 @@ def empirical_estimates(counts: RawCounts, qubit: int, confidence: float = 0.997
         raise FitError(f"confidence must be in (0, 1), got {confidence}")
     if np.any(counts.samples <= 0):
         raise FitError("zero-sample field in counts")
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     m = counts.samples.astype(float)
     mean = (m - 2.0 * counts.counts[qubit]) / m
     lim = clamp_limit(m)
@@ -112,202 +150,192 @@ def empirical_estimates(counts: RawCounts, qubit: int, confidence: float = 0.997
     return out
 
 
-def _log_cosh(x):
-    x = np.abs(x)
-    return x - np.log(2.0) + np.log1p(np.exp(-2.0 * x))
+def _rowsum(x):
+    """Sum over the last axis by pairwise halving.
 
-
-def _mean_and_grad(h, beta, b, eta, gamma):
-    """Model spin mean T(h) and its gradient wrt (beta, b, eta, gamma).
-
-    Mirrors the closed-form mixture; each noise-sign term is
-    c*tanh(beta*r)/(2r) with r = hypot(gamma*h, c).  Small-r factors use
-    their analytic limits.
+    numpy's own reductions choose their summation order from the array's
+    shape (one row sums differently from a stack of rows), which would tie
+    a qubit's fit to the batch it is in; halving fixes the order for any
+    leading shape.
     """
-    from .model import _R_EPS
+    while x.shape[-1] > 1:
+        n = x.shape[-1] // 2
+        x = np.concatenate([x[..., :n] + x[..., n:2 * n], x[..., 2 * n:]], axis=-1)
+    return x[..., 0]
 
+
+def _objective(h, theta, means, weights):
+    """Likelihood (Q,), score (Q, 4) and expected information (Q, 4, 4) of
+    every row of theta (Q, 4) against its spin means (Q, F)."""
+    om, op, _, dT = _mixture(h, theta, grad=True)
+    om = np.maximum(om, _TINY)
+    op = np.maximum(op, _TINY)
+    lo, hi = (1.0 - means) / 2.0, (1.0 + means) / 2.0
+    # log((om + op)/2) is zero but for rounding; it makes L exactly zero
+    # wherever T is exactly zero
+    ll = _rowsum(weights * (hi * np.log(op) + lo * np.log(om) - np.log((om + op) / 2.0)))
+    # dL/dT = (m - T)/(1 - T^2), written so as not to cancel near |T| = 1
+    score = _rowsum(dT * (weights * (hi / op - lo / om))[:, None, :])
+    info = _rowsum(dT[:, :, None, :] * dT[:, None, :, :] * (weights / (om * op))[:, None, None, :])
+    return ll, score, info
+
+
+def _data(h, means, weights):
     h = np.asarray(h, dtype=float)
-    T = np.zeros_like(h)
-    dT = np.zeros((4, h.size))
-    for s in (+1.0, -1.0):
-        c = h + b + s * eta
-        g = gamma * h
-        r = np.hypot(g, c)
-        tiny = r < _R_EPS
-        safe_r = np.where(tiny, 1.0, r)
-        f = np.tanh(beta * safe_r)
-        sech2 = 1.0 - f * f
-        A = np.where(tiny, beta / 2.0, f / (2.0 * safe_r))
-        # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
-        B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
-        T += c * A
-        d_dc = A + (c * c / safe_r) * B
-        dT[0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)  # d/dbeta
-        dT[1] += d_dc                                       # d/db
-        dT[2] += s * d_dc                                   # d/deta
-        dT[3] += (c * gamma * h * h / safe_r) * B           # d/dgamma
-    return T, dT
-
-
-def log_likelihood_grad(p: QubitParams, h, means, weights=None):
-    """Gradient of `log_likelihood` wrt (beta, b, eta, gamma)."""
-    h = np.asarray(h, dtype=float)
-    means = np.asarray(means, dtype=float)
-    if weights is None:
-        weights = np.full(h.size, 1.0 / h.size)
-    T, dT = _mean_and_grad(h, *p.astuple())
-    # dL/dtheta = sum w * (m - T) / (1 - T^2) * dT/dtheta
-    coef = weights * (means - T) / (1.0 - T * T)
-    return dT @ coef
-
-
-def log_likelihood(p: QubitParams, h, means, weights=None):
-    """Weighted model likelihood of empirical spin means."""
-    h = np.asarray(h, dtype=float)
-    means = np.asarray(means, dtype=float)
     if h.size == 0:
         raise FitError("no data points")
     if weights is None:
         weights = np.full(h.size, 1.0 / h.size)
-    he = effective_field(h, p)
-    return float(np.sum(weights * (he * means - _log_cosh(he))))
+    return h, np.asarray(means, dtype=float)[None, :], np.asarray(weights, dtype=float)
 
 
-# ---------------------------------------------------------------------------
-# box transform: optimize in unconstrained u-space, theta = lo + (hi-lo)*expit(u)
-
-_U_CAP = 30.0  # expit saturation guard for start points at/near the box edge
-
-
-def _to_box(u):
-    return _BOX_LO + (_BOX_HI - _BOX_LO) / (1.0 + np.exp(-np.clip(u, -700, 700)))
+def log_likelihood(p: QubitParams, h, means, weights=None):
+    """Weighted model likelihood of empirical spin means."""
+    h, means, weights = _data(h, means, weights)
+    return float(_objective(h, _theta(p), means, weights)[0][0])
 
 
-def _from_box(theta):
-    frac = (theta - _BOX_LO) / (_BOX_HI - _BOX_LO)
-    frac = np.clip(frac, 1e-12, 1.0 - 1e-12)
-    return np.clip(np.log(frac / (1.0 - frac)), -_U_CAP, _U_CAP)
+def log_likelihood_grad(p: QubitParams, h, means, weights=None):
+    """Gradient of `log_likelihood` wrt (beta, b, eta, gamma): the score
+    the fitter steps along."""
+    h, means, weights = _data(h, means, weights)
+    return _objective(h, _theta(p), means, weights)[1][0]
 
 
 def _initial_guess(h, means, samples):
-    """Data-driven start: slope/intercept of arctanh(mean) vs h near the origin."""
+    """Data-driven start per row of means (Q, F): slope/intercept of
+    arctanh(mean) vs h near the origin."""
     lim = clamp_limit(samples)
     y = np.arctanh(np.clip(means, -lim, lim))
     sel = np.abs(h) <= 0.3
-    if sel.sum() < 2:
+    if np.unique(h[sel]).size < 2:
         sel = np.ones_like(h, dtype=bool)
-    slope, intercept = np.polyfit(h[sel], y[sel], 1)
-    beta0 = float(np.clip(slope, *BOX["beta"]))
-    b0 = float(np.clip(-intercept / beta0, *BOX["b"]))
-    return np.array([beta0, b0, 0.03, 0.02])
+    x, y = h[sel], y[:, sel]
+    dx = x - x.mean()
+    slope = _rowsum(y * dx) / np.sum(dx * dx)
+    intercept = _rowsum(y) / x.size - slope * x.mean()
+    beta0 = np.clip(slope, *BOX["beta"])
+    b0 = np.clip(-intercept / beta0, *BOX["b"])
+    return np.column_stack([beta0, b0, np.full_like(b0, 0.03), np.full_like(b0, 0.02)])
 
 
-# fixed perturbation factors per extra start; deterministic by construction
-_START_TWEAKS = [
-    np.array([1.0, 1.0, 1.0, 1.0]),
-    np.array([1.3, 0.5, 2.0, 0.5]),
-    np.array([0.7, 1.5, 0.3, 2.5]),
-    np.array([1.1, -1.0, 1.5, 1.5]),
-    np.array([0.9, 2.0, 0.1, 0.1]),
-    np.array([1.5, 0.0, 3.0, 1.0]),
-]
+def _newton(theta, score, info, fixed=None):
+    """The Newton system at each row of theta, Jacobi-scaled to a unit
+    diagonal, with the fixed parameters dropped out: by default the active
+    set, the box edges that the score pushes against.
 
-
-def fit_qubit(counts: RawCounts, qubit: int, config: FitConfig = FitConfig()) -> FitResult:
-    """Maximum-likelihood parameter recovery for one qubit.
-
-    Requires at least 8 distinct fields covering both signs of h; with fewer
-    points the noise and transverse terms are not identifiable.
+    Returns (fixed, scale, g, a, decrement): the step for a (Q, 4, 4)
+    system a s = g (Q, 4, 1) is scale * s, and decrement = g^T a^-1 g.
     """
-    _check_qubit(counts, qubit)
+    if fixed is None:
+        fixed = ((theta <= _BOX_LO) & (score <= 0)) | ((theta >= _BOX_HI) & (score >= 0))
+    diag = np.diagonal(info, axis1=1, axis2=2)
+    scale = np.where(fixed, 0.0, 1.0 / np.sqrt(np.maximum(diag, _TINY)))
+    g = (scale * score)[..., None]
+    a = scale[:, :, None] * info * scale[:, None, :] + np.eye(4) * (fixed[:, :, None] + _RIDGE)
+    return fixed, scale, g, a, _rowsum((g * np.linalg.solve(a, g))[..., 0])
+
+
+def _fit_block(h, weights, means, samples):
+    """Damped Fisher scoring on every row of means (Q, F) at once.
+
+    Returns (theta (Q, 4), log-likelihood (Q,), converged (Q,)).
+    """
+    theta = _initial_guess(h, means, samples)
+    ll, score, info = _objective(h, theta, means, weights)
+    damping = np.full(len(theta), _DAMPING[0])
+    done = np.zeros(len(theta), dtype=bool)
+    for _ in range(_MAX_ITER):
+        fixed, scale, g, a, decrement = _newton(theta, score, info)
+        fine = decrement <= _DECREMENT_FINE
+        done |= (decrement <= _DECREMENT_TOL) | (fine & (damping >= _DAMPING[1]))
+        if done.all():
+            break
+        step = scale * np.linalg.solve(a + damping[:, None, None] * np.eye(4), g)[..., 0]
+        trial = theta + step
+        # eta, gamma: d(x^2) = 2x dx, so x^2 moves by 2x*step
+        trial[:, 2:] = np.sqrt(np.maximum(theta[:, 2:] * (theta[:, 2:] + 2.0 * step[:, 2:]), 0.0))
+        trial = np.where(done[:, None], theta, np.clip(trial, _BOX_LO, _BOX_HI))
+        t_ll, t_score, t_info = _objective(h, trial, means, weights)
+        gain = t_ll - ll
+        # judged on the same active set, as the decrement jumps where it changes
+        shrinks = _newton(trial, t_score, t_info, fixed)[4] < decrement
+        accept = ~done & np.where(fine, shrinks & (gain >= -_LL_SLACK), gain > 0)
+        theta = np.where(accept[:, None], trial, theta)
+        ll = np.where(accept, t_ll, ll)
+        score = np.where(accept[:, None], t_score, score)
+        info = np.where(accept[:, None, None], t_info, info)
+        damping = np.where(accept, damping / 3.0, np.minimum(damping * 10.0, _DAMPING[1]))
+    return theta, ll, done
+
+
+def _check_fields(counts: RawCounts):
     h = counts.h
     if np.unique(h).size < 8 or h.min() >= 0 or h.max() <= 0:
         raise FitError(
             f"need >= 8 distinct fields spanning h < 0 and h > 0, "
             f"got {np.unique(h).size} in [{h.min()}, {h.max()}]"
         )
-    m = counts.samples.astype(float)
-    means = (m - 2.0 * counts.counts[qubit]) / m
-    weights = m / m.sum()
+    if np.any(counts.samples <= 0):
+        raise FitError("zero-sample field in counts")
 
-    def neg_loss_and_grad(u):
-        theta = _to_box(u)
-        T, dT = _mean_and_grad(h, *theta)
-        om, op = _one_minus_plus(h, QubitParams(*theta))
-        he = 0.5 * (np.log(op) - np.log(om))
-        val = -float(np.sum(weights * (he * means - _log_cosh(he))))
-        # 1 - T^2 = (1-T)(1+T) from the stable halves; floored against
-        # subnormal underflow at extreme fields
-        coef = weights * (means - T) / np.maximum(om * op, 1e-300)
-        grad_theta = dT @ coef
-        # chain rule through theta = lo + (hi-lo)*expit(u)
-        sig = 1.0 / (1.0 + np.exp(-np.clip(u, -700, 700)))
-        return val, -grad_theta * (_BOX_HI - _BOX_LO) * sig * (1.0 - sig)
 
-    theta0 = _initial_guess(h, means, counts.samples)
-    best = None
-    n_starts = min(config.n_starts, len(_START_TWEAKS))
-    for i in range(n_starts):
-        tw = _START_TWEAKS[i]
-        start = np.clip(theta0 * tw, _BOX_LO, _BOX_HI)
-        res = optimize.minimize(
-            neg_loss_and_grad,
-            _from_box(start),
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": config.rel_tol, "gtol": 1e-12, "maxiter": config.max_iter},
-        )
-        if best is None or res.fun < best[0].fun:
-            best = (res, i)
-    res, start_index = best
-    beta, b, eta, gamma = _to_box(res.x)
+def _result(theta, ll, converged, counts: RawCounts) -> FitResult:
     flags = []
-    if eta < LOW_ETA:
+    if theta[2] < LOW_ETA:
         flags.append("low_eta")
     # eta/gamma sitting on their natural zero floor is ordinary, not a
     # search-box artifact, so only the remaining edges are flagged
-    theta = np.array([beta, b, eta, gamma])
     edge = np.isclose(theta, _BOX_HI, rtol=0, atol=1e-3)
     edge[:2] |= np.isclose(theta[:2], _BOX_LO[:2], rtol=0, atol=1e-3)
     if edge.any():
         flags.append("at_bound")
-    if np.any(np.abs(h) > 1):
+    if np.any(np.abs(counts.h) > 1):
         flags.append("fields_outside_unit")
     return FitResult(
-        params=QubitParams(beta, b, eta, gamma),
-        log_likelihood=-res.fun,
-        converged=bool(res.success),
-        start_index=start_index,
-        n_points=int(np.unique(h).size),
+        params=QubitParams(*theta),
+        log_likelihood=float(ll),
+        converged=bool(converged),
+        n_points=int(np.unique(counts.h).size),
         total_samples=int(counts.samples.sum()),
         flags=tuple(flags),
     )
 
 
-def fit_chip(counts: RawCounts, config: FitConfig = FitConfig(), workers: int = 1):
-    """Fit every qubit independently.
+def fit_chip(counts: RawCounts, workers: int = 1):
+    """Maximum-likelihood parameters of every qubit, fitted independently.
 
     Returns (results, failures): results maps qubit id -> FitResult, failures
-    maps qubit id -> error message for qubits whose fit raised.  Output is
-    identical for any worker count.
+    maps qubit id -> error message for qubits that could not be fitted.
+    Needs at least 8 distinct fields covering both signs of h; with fewer
+    points the noise and transverse terms are not identifiable.
+
+    Qubits are fitted `_BLOCK` at a time in this process.  `workers` is
+    accepted for compatibility and changes nothing: a result depends only
+    on its own qubit's counts, so the output is identical for any value.
     """
     ids = counts.qubit_ids
-    results, failures = {}, {}
-    if workers > 1 and len(ids) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if not ids:
+        return {}, {}
+    try:
+        _check_fields(counts)
+    except FitError as exc:
+        return {}, {q: str(exc) for q in ids}
+    m = counts.samples.astype(float)
+    weights = m / m.sum()
+    results = {}
+    for start in range(0, len(ids), _BLOCK):
+        block = ids[start:start + _BLOCK]
+        means = (m - 2.0 * np.array([counts.counts[q] for q in block])) / m
+        for q, *fit in zip(block, *_fit_block(counts.h, weights, means, counts.samples)):
+            results[q] = _result(*fit, counts)
+    return results, {}
 
-        single = {q: RawCounts(counts.h, counts.samples, {q: counts.counts[q]}) for q in ids}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {q: pool.submit(fit_qubit, single[q], q, config) for q in ids}
-            for q in ids:
-                try:
-                    results[q] = futures[q].result()
-                except FitError as exc:
-                    failures[q] = str(exc)
-        return results, failures
-    for q in ids:
-        try:
-            results[q] = fit_qubit(counts, q, config)
-        except FitError as exc:
-            failures[q] = str(exc)
-    return results, failures
+
+def fit_qubit(counts: RawCounts, qubit: int) -> FitResult:
+    """Maximum-likelihood parameters of one qubit: `fit_chip` on its column."""
+    _check_qubit(counts, qubit)
+    results, failures = fit_chip(RawCounts(counts.h, counts.samples, {qubit: counts.counts[qubit]}))
+    if failures:
+        raise FitError(failures[qubit])
+    return results[qubit]

@@ -10,6 +10,12 @@ Two independent evaluation routes are provided: the closed-form expression
 (`effective_field` / `spin_expectation`) and a density-matrix route built from
 explicit 2x2 matrix exponentials (`density_matrix_expectation`).  The second
 exists purely as a cross-check oracle for the first.
+
+The closed form lives in one kernel, `_mixture`, which evaluates every
+qubit of a (Q, 4) parameter array at every field at once, with the
+derivatives the fitter needs.  `spin_expectation`, `effective_field`, the
+simulator and the estimator's likelihood, score and information are all
+views of it.
 """
 
 from __future__ import annotations
@@ -59,28 +65,71 @@ class QubitParams:
         return (self.beta, self.b, self.eta, self.gamma)
 
 
-def _mixture_mean(h, p: QubitParams):
-    """tanh(h_eff): mean spin under the two-component noise mixture.
+def _theta(p: QubitParams):
+    """One qubit's parameters as a (1, 4) row for `_mixture`."""
+    return np.array([p.astuple()])
 
-    Vectorized over h.  Each noise sign s contributes
-    c_s * tanh(beta*r_s) / (2*r_s) with c_s = h + b + s*eta and
-    r_s = sqrt((gamma*h)^2 + c_s^2).
+
+def _mixture(h, theta, halves=True, grad=False):
+    """The mixture kernel: every qubit's spin mean at every field.
+
+    h has shape (F,) and theta shape (Q, 4), one (beta, b, eta, gamma) row
+    per qubit.  Returns (om, op, T, dT): the mean spin T and its halves
+    om = 1 - T and op = 1 + T, each (Q, F), and dT/dtheta of shape
+    (Q, 4, F).  The halves are skipped unless `halves` is set and dT unless
+    `grad` is; a skipped part is None.
+
+    Each noise sign s contributes c*tanh(beta*r)/(2r) to T, with
+    c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
+    once tanh saturates (beta*r beyond ~19), so om and op are assembled
+    from exact conjugate pairs: per sign, 1/2 -+ c*tanh(beta*r)/(2r) =
+    (rm + c*eps)/(2r) resp. (rp - c*eps)/(2r), with rm = r - c and
+    rp = r + c taken through (gamma*h)^2/(r +- c) on the cancelling side
+    and eps = 1 - tanh(beta*r) = 2*exp(-2*beta*r)/(1 + exp(-2*beta*r)).
+    Small-r factors use their analytic limits.
     """
     h = np.asarray(h, dtype=float)
-    x = p.gamma * h
-    total = np.zeros_like(h)
+    beta, b, eta, gamma = (theta[:, i, None] for i in range(4))
+    x = gamma * h
+    T = np.zeros(x.shape)
+    om = np.zeros(x.shape) if halves else None
+    op = np.zeros(x.shape) if halves else None
+    dT = np.zeros((x.shape[0], 4, x.shape[1])) if grad else None
     for s in (+1.0, -1.0):
-        c = h + p.b + s * p.eta
+        c = h + b + s * eta
         r = np.hypot(x, c)
+        tiny = r < _R_EPS
+        safe_r = np.where(tiny, 1.0, r)
         # tanh saturates, no overflow risk at large beta*r
-        safe_r = np.where(r < _R_EPS, 1.0, r)
-        term = np.where(
-            r < _R_EPS,
-            c * p.beta / 2.0,
-            c * np.tanh(p.beta * safe_r) / (2.0 * safe_r),
-        )
-        total = total + term
-    return total
+        f = np.tanh(beta * safe_r)
+        T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
+        if not (halves or grad):
+            continue
+        e = np.exp(-2.0 * beta * safe_r)
+        eps = 2.0 * e / (1.0 + e)
+        if halves:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rm = np.where(c > 0, x * x / (safe_r + c), r - c)
+                rp = np.where(c < 0, x * x / (safe_r - c), r + c)
+            om += np.where(tiny, 0.5 - c * beta / 2.0, (rm + c * eps) / (2.0 * safe_r))
+            op += np.where(tiny, 0.5 + c * beta / 2.0, (rp - c * eps) / (2.0 * safe_r))
+        if grad:
+            # sech^2 = (1 - f)(1 + f), kept accurate where f rounds to 1
+            sech2 = eps * (2.0 - eps)
+            # d(c*A(r))/dc with A = tanh(beta*r)/(2r), as two nonnegative
+            # terms: A + (c^2/r) dA/dr cancels once gamma*h << c
+            d_dc = np.where(
+                tiny,
+                beta / 2.0,
+                f * x * x / (2.0 * safe_r**3) + beta * sech2 * c * c / (2.0 * safe_r**2),
+            )
+            # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
+            B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
+            dT[:, 0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)  # d/dbeta
+            dT[:, 1] += d_dc                                       # d/db
+            dT[:, 2] += s * d_dc                                   # d/deta
+            dT[:, 3] += (c * x * h / safe_r) * B                   # d/dgamma
+    return om, op, T, dT
 
 
 def spin_expectation(h, p: QubitParams):
@@ -88,36 +137,8 @@ def spin_expectation(h, p: QubitParams):
 
     Accepts a scalar or array of fields; pure and deterministic.
     """
-    return _mixture_mean(h, p)
-
-
-def _one_minus_plus(h, p: QubitParams):
-    """(1 - T, 1 + T) for the mixture mean T, computed without cancellation.
-
-    A direct arctanh(T) loses all precision once tanh saturates (beta*r
-    beyond ~19), so each half is assembled from exact conjugate pairs:
-    per noise sign, 1/2 -+ c*tanh(beta*r)/(2r) = (rm + c*eps)/(2r) resp.
-    (rp - c*eps)/(2r), with rm = r - c and rp = r + c taken through
-    (gamma*h)^2 / (r +- c) on the cancelling side and
-    eps = 1 - tanh(beta*r) = 2*exp(-2*beta*r)/(1 + exp(-2*beta*r)).
-    """
     h = np.asarray(h, dtype=float)
-    x = p.gamma * h
-    om = np.zeros_like(h)
-    op = np.zeros_like(h)
-    for s in (+1.0, -1.0):
-        c = h + p.b + s * p.eta
-        r = np.hypot(x, c)
-        tiny = r < _R_EPS
-        safe_r = np.where(tiny, 1.0, r)
-        e = np.exp(-2.0 * p.beta * safe_r)
-        eps = 2.0 * e / (1.0 + e)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rm = np.where(c > 0, x * x / (safe_r + c), r - c)
-            rp = np.where(c < 0, x * x / (safe_r - c), r + c)
-        om += np.where(tiny, 0.5 - c * p.beta / 2.0, (rm + c * eps) / (2.0 * safe_r))
-        op += np.where(tiny, 0.5 + c * p.beta / 2.0, (rp - c * eps) / (2.0 * safe_r))
-    return om, op
+    return _mixture(h.ravel(), _theta(p), halves=False)[2].reshape(h.shape)
 
 
 def effective_field(h, p: QubitParams):
@@ -127,8 +148,9 @@ def effective_field(h, p: QubitParams):
     stays accurate far past the point where tanh saturates in floating
     point (classical check: beta=100, h=1 returns 100 to ~1e-14).
     """
-    om, op = _one_minus_plus(h, p)
-    return 0.5 * (np.log(op) - np.log(om))
+    h = np.asarray(h, dtype=float)
+    om, op, _, _ = _mixture(h.ravel(), _theta(p))
+    return (0.5 * (np.log(op) - np.log(om))).reshape(h.shape)
 
 
 def outcome_probability(h_eff):

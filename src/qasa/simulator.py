@@ -6,8 +6,8 @@ shots at a fixed field are i.i.d. two-outcome draws, each tally is a single
 binomial variate, which keeps M = 5e6 samples per field cheap.
 
 Randomness is counter-based (Philox) and keyed by (seed, qubit id, field
-index), so results are bit-identical regardless of how the work is split
-across workers.
+index), so results are bit-identical whichever qubits are simulated
+together.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import QubitParams, spin_expectation
+from .model import QubitParams, _mixture, _theta
 
 
 class DesignError(ValueError):
@@ -39,7 +39,6 @@ class SweepDesign:
     fields: tuple
     samples_per_field: int
     seed: int = 0
-    label: str = ""
 
     def __post_init__(self):
         fields = tuple(float(h) for h in self.fields)
@@ -60,7 +59,7 @@ def field_grid(h_min=-1.0, h_max=1.0, h_step=0.025):
 
 def default_sweep() -> SweepDesign:
     """The standard sweep: 81 fields in [-1, 1] at step 0.025, M = 5e6."""
-    return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0, label="1us")
+    return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0)
 
 
 @dataclass
@@ -77,6 +76,8 @@ class RawCounts:
 
     def __post_init__(self):
         self.h = np.asarray(self.h, dtype=float)
+        if not np.all(np.isfinite(self.h)):
+            raise ValueError("non-finite input field in h")
         self.samples = np.asarray(self.samples, dtype=np.int64)
         for q, c in list(self.counts.items()):
             c = np.asarray(c, dtype=np.int64)
@@ -100,11 +101,8 @@ def _stream(seed: int, stream_key: int, field_index: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, packed]))
 
 
-def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.ndarray:
-    """Draw the -1 tally for every field of the design, one binomial each."""
-    # p_minus straight from the spin mean; bypasses arctanh, which would
-    # overflow where tanh saturates to 1 in floating point
-    p_minus = (1.0 - spin_expectation(np.array(design.fields), p)) / 2.0
+def _draw(p_minus, design: SweepDesign, stream_key: int) -> np.ndarray:
+    """One binomial -1 tally per field, each from its own Philox stream."""
     m = design.samples_per_field
     out = np.empty(len(design.fields), dtype=np.int64)
     for i, pm in enumerate(p_minus):
@@ -112,11 +110,24 @@ def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.nd
     return out
 
 
+def _p_minus(theta, design: SweepDesign):
+    # p_minus straight from the spin mean; bypasses arctanh, which would
+    # overflow where tanh saturates to 1 in floating point
+    return (1.0 - _mixture(np.array(design.fields), theta, halves=False)[2]) / 2.0
+
+
+def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.ndarray:
+    """Draw the -1 tally for every field of the design, one binomial each."""
+    return _draw(_p_minus(_theta(p), design)[0], design, stream_key)
+
+
 def simulate_chip(truth: dict, design: SweepDesign, operational=None) -> RawCounts:
     """Sample a whole chip.
 
     truth maps qubit id -> QubitParams.  If `operational` (an id iterable) is
     given, truth must cover it exactly; extra truth entries are ignored.
+    Every qubit's spin means come from one kernel call; each tally still
+    draws from its own (seed, qubit, field) stream.
     """
     if operational is None:
         ids = sorted(truth)
@@ -127,5 +138,6 @@ def simulate_chip(truth: dict, design: SweepDesign, operational=None) -> RawCoun
             raise CoverageError(missing)
     n = len(design.fields)
     samples = np.full(n, design.samples_per_field, dtype=np.int64)
-    counts = {q: sample_counts(truth[q], design, q) for q in ids}
+    p_minus = _p_minus(np.array([truth[q].astuple() for q in ids]).reshape(-1, 4), design)
+    counts = {q: _draw(pm, design, q) for q, pm in zip(ids, p_minus)}
     return RawCounts(h=np.array(design.fields), samples=samples, counts=counts)

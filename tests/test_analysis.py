@@ -12,7 +12,6 @@ def fake_result(beta=10.54, b=0.0025, eta=0.0367, gamma=0.0176):
         params=QubitParams(beta, b, eta, gamma),
         log_likelihood=0.0,
         converged=True,
-        start_index=0,
         n_points=81,
         total_samples=81 * 1000,
     )

@@ -117,6 +117,13 @@ class TestFit:
         assert run(["fit", "--in", str(bad), "--out", str(out), "--strict"]) == EXIT_FIT
         assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_OK
 
+    def test_non_finite_field_exit(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("h,samples,spin_0\n-0.5,100,90\nnan,100,50\n0.5,100,10\n")
+        out = tmp_path / "out.csv"
+        assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert not out.exists()
+
     def test_schema_violation_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("h,samples,spin_0\n0.0,100,101\n")

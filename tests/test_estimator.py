@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qasa import (
     QubitParams,
@@ -11,7 +14,9 @@ from qasa import (
     fit_qubit,
     log_likelihood,
     sample_counts,
+    simulate_chip,
 )
+from qasa import estimator
 from qasa.estimator import FitError, log_likelihood_grad
 from qasa.simulator import RawCounts
 
@@ -160,6 +165,20 @@ class TestFitQubit:
         r = fit_qubit(counts, 0)
         assert "low_eta" in r.flags
 
+    def test_start_from_one_repeated_central_field(self):
+        # the start's line fit near h = 0 sees a single field, twice
+        h = (-1.0, -0.8, -0.6, -0.4, 0.1, 0.5, 0.7, 0.9, 1.0)
+        c = synth_counts(QubitParams(3.0, 0.01, 0.03, 0.02), 100_000, seed=10, fields=h)
+        at = list(h).index(0.1)
+        counts = RawCounts(
+            h=np.insert(c.h, at, 0.1),
+            samples=np.insert(c.samples, at, c.samples[at]),
+            counts={0: np.insert(c.counts[0], at, c.counts[0][at])},
+        )
+        r = fit_qubit(counts, 0)
+        assert r.converged
+        assert abs(r.params.beta - 3.0) / 3.0 <= 0.1
+
     def test_insufficient_fields_rejected(self):
         counts = synth_counts(FIG1_PARAMS, 1000, seed=5, fields=(-0.5, 0.0, 0.5))
         with pytest.raises(FitError):
@@ -194,6 +213,47 @@ class TestFitQubit:
                 errs.append(abs(r.params.beta - 11.18) / 11.18)
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
+
+
+def _mixed_chip(n, seed):
+    rng = np.random.default_rng(seed)
+    truth = {
+        q: QubitParams(
+            rng.uniform(5, 20), rng.uniform(-0.02, 0.02), rng.uniform(0, 0.06), rng.uniform(0, 0.03)
+        )
+        for q in range(n)
+    }
+    d = SweepDesign(fields=field_grid(), samples_per_field=100_000, seed=seed)
+    return simulate_chip(truth, d)
+
+
+MIXED_CHIP = _mixed_chip(12, 3)
+
+
+class TestLikelihoodMaximum:
+    def test_low_noise_fits_reach_the_maximum(self):
+        # eta and gamma both near their zero floor, where the likelihood is
+        # nearly flat in them; no fit may end below the truth's likelihood
+        rng = np.random.default_rng(64)
+        truth = {
+            q: QubitParams(
+                10.54 * np.exp(rng.normal(0, 0.06)),
+                0.0025 + rng.normal(0, 0.004),
+                *rng.uniform(0.001, 0.01, 2),
+            )
+            for q in range(64)
+        }
+        d = SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=64)
+        counts = simulate_chip(truth, d)
+        results, failures = fit_chip(counts)
+        assert not failures
+        w = counts.samples / counts.samples.sum()
+        for q, p in truth.items():
+            m = (counts.samples - 2.0 * counts.counts[q]) / counts.samples
+            r = results[q]
+            assert r.converged
+            assert r.log_likelihood == log_likelihood(r.params, counts.h, m, w)
+            assert r.log_likelihood >= log_likelihood(p, counts.h, m, w)
 
 
 class TestFitChip:
@@ -232,6 +292,41 @@ class TestFitChip:
         parallel, _ = fit_chip(counts, workers=4)
         for q in serial:
             assert serial[q].params == parallel[q].params
+
+    def test_fit_qubit_is_chip_fit_of_one_column(self):
+        counts = MIXED_CHIP
+        chip, _ = fit_chip(counts)
+        for q in (0, 5, 11):
+            assert fit_qubit(counts, q) == chip[q]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.permutations(range(12)),
+        st.lists(st.integers(1, 12), min_size=1, max_size=12),
+        st.integers(1, 5),
+    )
+    def test_partition_and_order_invariance(self, order, sizes, block):
+        # relabel the qubits in a new order, cut them into consecutive parts
+        # of the drawn sizes and fit each part in batches of `block` qubits;
+        # every fit must equal the whole-chip fit bit for bit
+        reference, _ = fit_chip(MIXED_CHIP)
+        parts, pos = [], 0
+        for size in sizes:
+            if pos < len(order):
+                parts.append(order[pos:pos + size])
+                pos += size
+        if pos < len(order):
+            parts.append(order[pos:])
+        with mock.patch.object(estimator, "_BLOCK", block):
+            for part in parts:
+                counts = RawCounts(
+                    MIXED_CHIP.h, MIXED_CHIP.samples,
+                    {new: MIXED_CHIP.counts[old] for new, old in enumerate(part)},
+                )
+                results, failures = fit_chip(counts)
+                assert not failures
+                for new, old in enumerate(part):
+                    assert results[new] == reference[old]
 
     def test_failures_are_aggregated(self):
         good = synth_counts(FIG1_PARAMS, 10_000, seed=8)

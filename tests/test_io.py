@@ -98,6 +98,8 @@ class TestRawErrors:
             ("h,samples,spin_0\nxyz,100,5\n", 2),
             ("h,samples,spin_0\n0.0,100\n", 2),
             ("h,samples,spin_0\n0.0,100,5\n0.1,100,nope\n", 3),
+            ("h,samples,spin_0\n0.0,100,5\nnan,100,5\n", 3),
+            ("h,samples,spin_0\ninf,100,5\n", 2),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, body, line):
@@ -115,7 +117,6 @@ class TestParamsTable:
                 params=QubitParams(10.5 + 0.01 * q, 0.002, 0.036, 0.017),
                 log_likelihood=-1.25,
                 converged=True,
-                start_index=0,
                 n_points=81,
                 total_samples=81 * 1000,
             )

@@ -19,7 +19,6 @@ class TestSweepDesign:
         assert d.fields[80] == 1.0
         assert d.samples_per_field == 5_000_000
         assert d.seed == 0
-        assert d.label == "1us"
 
     def test_rejects_empty_and_unsorted(self):
         with pytest.raises(DesignError):
@@ -120,3 +119,18 @@ class TestSimulateChip:
             RawCounts(h=np.array([0.0]), samples=np.array([10]), counts={0: np.array([11])})
         with pytest.raises(ValueError):
             RawCounts(h=np.array([0.0]), samples=np.array([10]), counts={0: np.array([1, 2])})
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                RawCounts(h=np.array([0.0, bad]), samples=np.array([10, 10]), counts={})
+
+    def test_matches_per_qubit_sampling(self):
+        # the chip's one batched kernel call draws what sample_counts draws
+        rng = np.random.default_rng(12)
+        truth = {
+            q: QubitParams(rng.uniform(1, 100), rng.uniform(-0.2, 0.2), rng.uniform(0, 0.5), rng.uniform(0, 0.5))
+            for q in range(16)
+        }
+        d = make_design(100_000, seed=5)
+        chip = simulate_chip(truth, d)
+        for q, p in truth.items():
+            assert np.array_equal(chip.counts[q], sample_counts(p, d, q))
