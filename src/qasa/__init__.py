@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .model import (
     ParameterError,

@@ -101,6 +101,9 @@ def cmd_fit(args, started):
     spec = _infer_spec(counts.qubit_ids, args.orientation_convention)
     write_params(results, spec, args.out)
     _write_manifest(args.out, "fit", vars(args), None, started)
+    flagged = sum(1 for r in results.values() if r.flags)
+    print(f"qasa fit: {len(results)} fitted, {len(failures)} failed, {flagged} flagged "
+          f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
     if failures:
         for q, msg in sorted(failures.items()):
             print(f"fit failed for qubit {q}: {msg}", file=sys.stderr)

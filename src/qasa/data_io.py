@@ -123,6 +123,11 @@ def write_raw(counts: RawCounts, path):
         fh.write(raw_to_bytes(counts))
 
 
+# converged is unknown (None) for tables without the column, e.g. truth files
+_CONVERGED_CELL = {True: "true", False: "false", None: ""}
+_CONVERGED_VALUE = {cell: value for value, cell in _CONVERGED_CELL.items()}
+
+
 def write_params(results: dict, spec: ChimeraSpec, path):
     """Write the fitted-parameter table, one row per qubit, sorted by id."""
     with open(path, "w", newline="\n") as fh:
@@ -135,7 +140,7 @@ def write_params(results: dict, spec: ChimeraSpec, path):
                 repr(float(r.params.beta)), repr(float(r.params.b)),
                 repr(float(r.params.eta)), repr(float(r.params.gamma)),
                 repr(float(r.log_likelihood)), str(r.n_points), str(r.total_samples),
-                "true" if r.converged else "false",
+                _CONVERGED_CELL[r.converged],
                 str(site.row), str(site.col), str(site.k), site.orientation,
             ]
             fh.write(",".join(cells) + "\n")
@@ -145,7 +150,8 @@ def read_params(path) -> dict:
     """Read a parameter table back into qubit id -> FitResult.
 
     Only the qubit_id..gamma prefix is required; missing diagnostic columns
-    get neutral defaults, so plain four-parameter truth tables also load.
+    get neutral defaults, so plain four-parameter truth tables also load.  A
+    missing or empty ``converged`` cell reads as unknown (None).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -163,10 +169,13 @@ def read_params(path) -> dict:
                 _fail(path, line_no, str(exc))
             if q in results:
                 _fail(path, line_no, f"duplicate qubit id {q}")
+            converged = row.get("converged") or ""
+            if converged not in _CONVERGED_VALUE:
+                _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
             results[q] = FitResult(
                 params=params,
                 log_likelihood=float(row.get("log_likelihood") or "nan"),
-                converged=(row.get("converged") or "true") == "true",
+                converged=_CONVERGED_VALUE[converged],
                 n_points=int(row.get("n_points") or 0),
                 total_samples=int(row.get("total_samples") or 0),
             )

@@ -99,7 +99,7 @@ class EffectiveFieldEstimate:
 class FitResult:
     params: QubitParams
     log_likelihood: float
-    converged: bool
+    converged: bool | None  # None: unknown, as read from a table without it
     n_points: int
     total_samples: int
     flags: tuple = field(default=())

@@ -5,9 +5,9 @@ a sweep design, produces per-(qubit, field) tallies of -1 outcomes.  Since
 shots at a fixed field are i.i.d. two-outcome draws, each tally is a single
 binomial variate, which keeps M = 5e6 samples per field cheap.
 
-Randomness is counter-based (Philox) and keyed by (seed, qubit id, field
-index), so results are bit-identical whichever qubits are simulated
-together.
+Randomness is counter-based (Philox): each qubit draws from one stream keyed
+by (seed, qubit id), its fields in order.  A qubit's column therefore does not
+depend on which other qubits are simulated with it, or in what order.
 """
 
 from __future__ import annotations
@@ -95,19 +95,16 @@ class RawCounts:
         return self.h.size
 
 
-def _stream(seed: int, stream_key: int, field_index: int) -> np.random.Generator:
-    # 2x64-bit Philox key; one independent stream per (seed, qubit, field)
-    packed = ((stream_key & 0xFFFFFFFF) << 24) | (field_index & 0xFFFFFF)
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, packed]))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _draw(p_minus, design: SweepDesign, stream_key: int) -> np.ndarray:
-    """One binomial -1 tally per field, each from its own Philox stream."""
-    m = design.samples_per_field
-    out = np.empty(len(design.fields), dtype=np.int64)
-    for i, pm in enumerate(p_minus):
-        out[i] = _stream(design.seed, stream_key, i).binomial(m, pm)
-    return out
+def _draw(p_minus, design: SweepDesign, qubit_id: int) -> np.ndarray:
+    """One binomial -1 tally per field, drawn in field order from the
+    qubit's own Philox stream, keyed by (seed, qubit id)."""
+    # a uint64 array: a plain list holding a value >= 2**63 becomes float64
+    key = np.array([int(design.seed) & _MASK64, int(qubit_id) & _MASK64], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.binomial(design.samples_per_field, p_minus).astype(np.int64, copy=False)
 
 
 def _p_minus(theta, design: SweepDesign):
@@ -117,7 +114,8 @@ def _p_minus(theta, design: SweepDesign):
 
 
 def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.ndarray:
-    """Draw the -1 tally for every field of the design, one binomial each."""
+    """Draw the -1 tally for every field of the design, one binomial each,
+    from the stream of qubit id `stream_key`."""
     return _draw(_p_minus(_theta(p), design)[0], design, stream_key)
 
 
@@ -126,8 +124,9 @@ def simulate_chip(truth: dict, design: SweepDesign, operational=None) -> RawCoun
 
     truth maps qubit id -> QubitParams.  If `operational` (an id iterable) is
     given, truth must cover it exactly; extra truth entries are ignored.
-    Every qubit's spin means come from one kernel call; each tally still
-    draws from its own (seed, qubit, field) stream.
+    Every qubit's spin means come from one kernel call; each qubit then draws
+    its fields in order from its own (seed, qubit id) stream, so its column
+    does not depend on which other qubits are simulated with it.
     """
     if operational is None:
         ids = sorted(truth)

@@ -1,9 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qasa.cli import EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser, main
+from qasa.data_io import read_raw, write_raw
 
 
 def run(argv):
@@ -116,6 +118,23 @@ class TestFit:
         out = tmp_path / "out.csv"
         assert run(["fit", "--in", str(bad), "--out", str(out), "--strict"]) == EXIT_FIT
         assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_OK
+
+    def test_summary_line(self, mini_run, tmp_path, capsys):
+        # a dead qubit that always reads +1 fits at the box edge and is flagged
+        _, raw, _ = mini_run
+        counts = read_raw(raw)
+        counts.counts[99] = np.zeros_like(counts.samples)
+        dead = tmp_path / "dead.csv"
+        write_raw(counts, dead)
+        capsys.readouterr()
+        assert run(["fit", "--in", str(dead), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"qasa fit: 9 fitted, 0 failed, 1 flagged in \d+\.\d\d s\n", err)
+
+        bad = tmp_path / "bad.csv"
+        bad.write_text("h,samples,spin_0\n-0.5,100,90\n0.5,100,10\n")
+        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "q.csv")]) == EXIT_OK
+        assert "qasa fit: 0 fitted, 1 failed, 0 flagged in " in capsys.readouterr().err
 
     def test_non_finite_field_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,29 @@ class TestParamsTable:
         path.write_text("qubit_id,beta,b,eta,gamma\n0,10.54,0.0025,0.0367,0.0176\n")
         results = read_params(path)
         assert results[0].params == QubitParams(10.54, 0.0025, 0.0367, 0.0176)
+        assert results[0].converged is None
+
+    def test_converged_round_trips_unknown(self, tmp_path):
+        spec = ChimeraSpec(grid=2)
+        path = tmp_path / "params.csv"
+        results = self.make_results()
+        results[5] = dataclasses.replace(results[5], converged=None)
+        results[17] = dataclasses.replace(results[17], converged=False)
+        write_params(results, spec, path)
+        assert path.read_text().splitlines()[2].split(",")[8] == ""
+        again = read_params(path)
+        assert [again[q].converged for q in (0, 5, 17)] == [True, None, False]
+
+    def test_rejects_unknown_converged_cell(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text(
+            "qubit_id,beta,b,eta,gamma,log_likelihood,n_points,total_samples,converged\n"
+            "0,10,0,0.1,0,-1.0,81,81000,true\n"
+            "1,10,0,0.1,0,-1.0,81,81000,yes\n"
+        )
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert ":3:" in str(exc.value)
 
     def test_rejects_bad_header_and_duplicates(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qasa import QubitParams, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
 from qasa.simulator import CoverageError, DesignError, RawCounts
@@ -35,6 +36,13 @@ class TestSweepDesign:
 
 
 class TestSampleCounts:
+    def test_stream_layout_is_pinned(self):
+        # one Philox stream per (seed, qubit id), fields drawn in order; a
+        # change of stream layout changes these numbers and must edit them
+        p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
+        d = SweepDesign(fields=(-0.5, -0.1, 0.0, 0.1, 0.5), samples_per_field=10_000, seed=7)
+        assert np.array_equal(sample_counts(p, d, 3), [9999, 8568, 4858, 1235, 0])
+
     def test_determinism(self):
         p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
         d = make_design(10_000, seed=7)
@@ -134,3 +142,38 @@ class TestSimulateChip:
         chip = simulate_chip(truth, d)
         for q, p in truth.items():
             assert np.array_equal(chip.counts[q], sample_counts(p, d, q))
+
+
+# qubit ids spread over 64 bits, including pairs that share their low 32 bits
+SPLIT_IDS = (0, 1, 5, 7, 31, 2047, 2**31, 5 + 2**32, 7 + 2**32, 2**40, 2**63 - 1, 2**64 - 1)
+_split_rng = np.random.default_rng(21)
+SPLIT_TRUTH = {
+    q: QubitParams(
+        _split_rng.uniform(1, 60), _split_rng.uniform(-0.1, 0.1),
+        _split_rng.uniform(0, 0.1), _split_rng.uniform(0, 0.1),
+    )
+    for q in SPLIT_IDS
+}
+SPLIT_DESIGN = SweepDesign(fields=field_grid(h_step=0.1), samples_per_field=50_000, seed=13)
+SPLIT_CHIP = simulate_chip(SPLIT_TRUTH, SPLIT_DESIGN)
+
+
+class TestStreamLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(SPLIT_IDS), min_size=1, max_size=len(SPLIT_IDS), unique=True))
+    def test_any_subset_in_any_order_draws_the_same_columns(self, ids):
+        truth = {q: SPLIT_TRUTH[q] for q in ids}
+        part = simulate_chip(truth, SPLIT_DESIGN, operational=ids)
+        assert part.qubit_ids == sorted(ids)
+        for q in ids:
+            assert np.array_equal(part.counts[q], SPLIT_CHIP.counts[q])
+            assert np.array_equal(part.counts[q], sample_counts(SPLIT_TRUTH[q], SPLIT_DESIGN, q))
+
+    def test_ids_equal_in_low_32_bits_draw_different_columns(self):
+        # the key holds all 64 bits of the id: ids equal in their low 32 bits
+        # get their own streams, and ids near 2**64 are not rounded together
+        p = QubitParams(10.0, 0, 0, 0)
+        d = make_design(10_000, seed=3)
+        ids = (5, 5 + 2**32, 2**64 - 2, 2**64 - 1)
+        chip = simulate_chip({q: p for q in ids}, d)
+        assert len({tuple(chip.counts[q]) for q in ids}) == len(ids)
