@@ -70,7 +70,8 @@ def _load_truth(text, spec):
 
 
 def _infer_spec(ids, convention):
-    top = max(ids)
+    """The smallest Chimera grid that holds every id."""
+    top = max(ids, default=-1)
     n = 1
     while 8 * n * n <= top:
         n += 1
@@ -91,6 +92,8 @@ def cmd_simulate(args, started):
 
 def cmd_fit(args, started):
     counts = read_raw(args.infile)
+    # layout columns come from the whole file, so a subset keeps its sites
+    spec = _infer_spec(counts.qubit_ids, args.orientation_convention)
     if args.qubits:
         keep = set(args.qubits)
         unknown = keep - set(counts.counts)
@@ -98,7 +101,6 @@ def cmd_fit(args, started):
             raise FormatError(f"qubits not in input: {sorted(unknown)}")
         counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
     results, failures = fit_chip(counts, workers=args.workers)
-    spec = _infer_spec(counts.qubit_ids, args.orientation_convention)
     write_params(results, spec, args.out)
     _write_manifest(args.out, "fit", vars(args), None, started)
     flagged = sum(1 for r in results.values() if r.flags)
@@ -150,6 +152,8 @@ def cmd_sweep(args, started):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) < 2:
+                raise FormatError(f"{args.manifest}:{line_no}: expected 2 cells, got {len(row)}")
             try:
                 t = float(row[0])
             except ValueError:

@@ -54,19 +54,19 @@ def read_raw(path) -> RawCounts:
             _fail(path, 1, "empty file")
         if header[:2] != ["h", "samples"]:
             _fail(path, 1, f"header must start with 'h,samples', got {header[:2]}")
-        qubit_cols = []
+        ids = []
         for j, name in enumerate(header[2:], start=2):
             if not name.startswith("spin_"):
                 _fail(path, 1, f"column {j + 1} must be named spin_<id>, got {name!r}")
             try:
-                qubit_cols.append((int(name[5:]), j))
+                ids.append(int(name[5:]))
             except ValueError:
                 _fail(path, 1, f"bad qubit id in column name {name!r}")
-        ids = [q for q, _ in qubit_cols]
         if len(set(ids)) != len(ids):
             _fail(path, 1, "duplicate spin columns")
 
-        rows = {}  # h -> [samples, {id: count}]
+        hs, rows = [], []  # rows: [samples, count per spin column]
+        total = 0  # bounds every int64 sum below, as no count exceeds its samples
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -81,28 +81,31 @@ def read_raw(path) -> RawCounts:
                 _fail(path, line_no, f"non-finite h {row[0]!r}")
             if samples <= 0:
                 _fail(path, line_no, f"samples must be positive, got {samples}")
-            counts = {}
-            for q, j in qubit_cols:
-                try:
-                    c = int(row[j])
-                except ValueError:
-                    _fail(path, line_no, f"non-integer count {row[j]!r} for qubit {q}")
-                if not (0 <= c <= samples):
-                    _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
-                counts[q] = c
-            if h in rows:
-                rows[h][0] += samples
-                for q in ids:
-                    rows[h][1][q] += counts[q]
-            else:
-                rows[h] = [samples, counts]
+            total += samples
+            if total > np.iinfo(np.int64).max:
+                _fail(path, line_no, f"samples add up to {total}, past the int64 range")
+            try:
+                cells = [samples, *map(int, row[2:])]
+                bad = min(cells) < 0 or max(cells) > samples
+            except ValueError:
+                bad = True
+            if bad:
+                for q, cell in zip(ids, row[2:]):  # name the first bad cell
+                    try:
+                        c = int(cell)
+                    except ValueError:
+                        _fail(path, line_no, f"non-integer count {cell!r} for qubit {q}")
+                    if not (0 <= c <= samples):
+                        _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
+            hs.append(h)
+            rows.append(cells)
 
-    hs = sorted(rows)
-    return RawCounts(
-        h=np.array(hs),
-        samples=np.array([rows[h][0] for h in hs], dtype=np.int64),
-        counts={q: np.array([rows[h][1][q] for h in hs], dtype=np.int64) for q in ids},
-    )
+    # duplicate-h rows are summed; return_index makes the sort stable, so a
+    # merged h keeps the sign of its first row where -0 and 0 meet
+    h, _, row_of = np.unique(hs, return_index=True, return_inverse=True)
+    table = np.zeros((h.size, len(header) - 1), dtype=np.int64)
+    np.add.at(table, row_of, np.array(rows, dtype=np.int64).reshape(len(rows), len(header) - 1))
+    return RawCounts(h=h, samples=table[:, 0], counts=dict(zip(ids, table[:, 1:].T)))
 
 
 def raw_to_bytes(counts: RawCounts) -> bytes:
@@ -110,10 +113,9 @@ def raw_to_bytes(counts: RawCounts) -> bytes:
     buf = io.StringIO()
     ids = counts.qubit_ids
     buf.write("h,samples" + "".join(f",spin_{q}" for q in ids) + "\n")
-    for i in range(counts.n_fields()):
-        cells = [format_field(counts.h[i]), str(int(counts.samples[i]))]
-        cells += [str(int(counts.counts[q][i])) for q in ids]
-        buf.write(",".join(cells) + "\n")
+    table = np.column_stack([counts.samples, *(counts.counts[q] for q in ids)])
+    for h, row in zip(counts.h, table.tolist()):
+        buf.write(format_field(h) + "," + ",".join(map(str, row)) + "\n")
     return buf.getvalue().encode()
 
 
@@ -154,17 +156,26 @@ def read_params(path) -> dict:
     missing or empty ``converged`` cell reads as unknown (None).
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = PARAMS_HEADER[:5]
-        if reader.fieldnames is None or reader.fieldnames[: len(required)] != required:
+        if header is None or header[: len(required)] != required:
             _fail(path, 1, f"header must start with {','.join(required)}")
         results = {}
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                _fail(path, line_no, f"expected {len(header)} cells, got {len(cells)}")
+            row = dict(zip(header, cells))
             try:
                 q = int(row["qubit_id"])
                 params = QubitParams(
                     float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])
                 )
+                log_likelihood = float(row.get("log_likelihood") or "nan")
+                n_points = int(row.get("n_points") or 0)
+                total_samples = int(row.get("total_samples") or 0)
             except ValueError as exc:
                 _fail(path, line_no, str(exc))
             if q in results:
@@ -174,10 +185,10 @@ def read_params(path) -> dict:
                 _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
             results[q] = FitResult(
                 params=params,
-                log_likelihood=float(row.get("log_likelihood") or "nan"),
+                log_likelihood=log_likelihood,
                 converged=_CONVERGED_VALUE[converged],
-                n_points=int(row.get("n_points") or 0),
-                total_samples=int(row.get("total_samples") or 0),
+                n_points=n_points,
+                total_samples=total_samples,
             )
     return results
 

@@ -269,37 +269,17 @@ def _fit_block(h, weights, means, samples):
     return theta, ll, done
 
 
-def _check_fields(counts: RawCounts):
-    h = counts.h
-    if np.unique(h).size < 8 or h.min() >= 0 or h.max() <= 0:
+def _check_fields(counts: RawCounts) -> int:
+    """The number of distinct fields, once they are enough to fit."""
+    h = np.unique(counts.h)
+    if h.size < 8 or h[0] >= 0 or h[-1] <= 0:
+        span = f" in [{h[0]}, {h[-1]}]" if h.size else ""
         raise FitError(
-            f"need >= 8 distinct fields spanning h < 0 and h > 0, "
-            f"got {np.unique(h).size} in [{h.min()}, {h.max()}]"
+            f"need >= 8 distinct fields spanning h < 0 and h > 0, got {h.size}{span}"
         )
     if np.any(counts.samples <= 0):
         raise FitError("zero-sample field in counts")
-
-
-def _result(theta, ll, converged, counts: RawCounts) -> FitResult:
-    flags = []
-    if theta[2] < LOW_ETA:
-        flags.append("low_eta")
-    # eta/gamma sitting on their natural zero floor is ordinary, not a
-    # search-box artifact, so only the remaining edges are flagged
-    edge = np.isclose(theta, _BOX_HI, rtol=0, atol=1e-3)
-    edge[:2] |= np.isclose(theta[:2], _BOX_LO[:2], rtol=0, atol=1e-3)
-    if edge.any():
-        flags.append("at_bound")
-    if np.any(np.abs(counts.h) > 1):
-        flags.append("fields_outside_unit")
-    return FitResult(
-        params=QubitParams(*theta),
-        log_likelihood=float(ll),
-        converged=bool(converged),
-        n_points=int(np.unique(counts.h).size),
-        total_samples=int(counts.samples.sum()),
-        flags=tuple(flags),
-    )
+    return h.size
 
 
 def fit_chip(counts: RawCounts, workers: int = 1):
@@ -318,17 +298,27 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     if not ids:
         return {}, {}
     try:
-        _check_fields(counts)
+        n_points = _check_fields(counts)
     except FitError as exc:
         return {}, {q: str(exc) for q in ids}
+    total_samples = int(counts.samples.sum())
+    outside = ("fields_outside_unit",) if np.any(np.abs(counts.h) > 1) else ()
     m = counts.samples.astype(float)
     weights = m / m.sum()
     results = {}
     for start in range(0, len(ids), _BLOCK):
         block = ids[start:start + _BLOCK]
         means = (m - 2.0 * np.array([counts.counts[q] for q in block])) / m
-        for q, *fit in zip(block, *_fit_block(counts.h, weights, means, counts.samples)):
-            results[q] = _result(*fit, counts)
+        theta, ll, converged = _fit_block(counts.h, weights, means, counts.samples)
+        low_eta = theta[:, 2] < LOW_ETA
+        # eta/gamma sitting on their natural zero floor is ordinary, not a
+        # search-box artifact, so only the remaining edges are flagged
+        at_bound = (np.any(np.abs(theta - _BOX_HI) <= 1e-3, axis=1)
+                    | np.any(np.abs(theta[:, :2] - _BOX_LO[:2]) <= 1e-3, axis=1))
+        rows = zip(block, theta, ll.tolist(), converged.tolist(), low_eta.tolist(), at_bound.tolist())
+        for q, t, l, c, low, edge in rows:
+            flags = ("low_eta",) * low + ("at_bound",) * edge + outside
+            results[q] = FitResult(QubitParams(*t), l, c, n_points, total_samples, flags)
     return results, {}
 
 

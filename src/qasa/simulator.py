@@ -79,13 +79,16 @@ class RawCounts:
         if not np.all(np.isfinite(self.h)):
             raise ValueError("non-finite input field in h")
         self.samples = np.asarray(self.samples, dtype=np.int64)
-        for q, c in list(self.counts.items()):
-            c = np.asarray(c, dtype=np.int64)
-            if c.shape != self.h.shape:
-                raise ValueError(f"count column for qubit {q} has wrong length")
-            if np.any(c < 0) or np.any(c > self.samples):
-                raise ValueError(f"counts for qubit {q} outside [0, samples]")
-            self.counts[q] = c
+        ids = list(self.counts)
+        wrong = [q for q, c in self.counts.items() if np.shape(c) != self.h.shape]
+        if wrong:
+            raise ValueError(f"count column for qubit {wrong[0]} has wrong length")
+        # one (qubit, field) table; each column is a row of it
+        table = np.array(list(self.counts.values()), dtype=np.int64).reshape(len(ids), self.h.size)
+        outside = np.any((table < 0) | (table > self.samples), axis=1)
+        if outside.any():
+            raise ValueError(f"counts for qubit {ids[outside.argmax()]} outside [0, samples]")
+        self.counts = dict(zip(ids, table))
 
     @property
     def qubit_ids(self):

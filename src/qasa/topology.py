@@ -22,7 +22,6 @@ class ChimeraSpec:
     grid: int
     operational: frozenset = None
     vertical_low_k: bool = True  # k in {0..3} vertical when True
-    cell_size: int = 8
 
     def __post_init__(self):
         if self.grid < 1:
@@ -38,7 +37,7 @@ class ChimeraSpec:
 
     @property
     def capacity(self) -> int:
-        return self.cell_size * self.grid * self.grid
+        return 8 * self.grid * self.grid
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,9 @@ def site_of(qubit_id: int, spec: ChimeraSpec) -> QubitSite:
     """Decode a linear qubit id into cell coordinates and orientation."""
     if not (0 <= qubit_id < spec.capacity):
         raise TopologyError(f"qubit id {qubit_id} outside [0, {spec.capacity})")
-    cell, k = divmod(qubit_id, spec.cell_size)
+    cell, k = divmod(qubit_id, 8)
     row, col = divmod(cell, spec.grid)
-    vertical = (k < spec.cell_size // 2) == spec.vertical_low_k
+    vertical = (k < 4) == spec.vertical_low_k
     return QubitSite(qubit_id, row, col, k, "vertical" if vertical else "horizontal")
 
 

@@ -106,6 +106,45 @@ class TestFit:
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "5"
 
+    def test_qubit_subset_keeps_layout(self, tmp_path):
+        # on a 3x3-cell chip qubit 16 sits at row 0, col 2; its ids alone
+        # would fit a 2x2 grid, where it would land at row 1, col 0
+        raw = tmp_path / "raw.csv"
+        assert run([
+            "simulate", "--chip", "chimera:3", "--truth", "preset:median",
+            "--h-step", "0.25", "--samples", "10000", "--seed", "2", "--out", str(raw),
+        ]) == EXIT_OK
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(full)]) == EXIT_OK
+        assert run(["fit", "--in", str(raw), "--out", str(part), "--qubits", "16", "3"]) == EXIT_OK
+        rows = {line.split(",")[0]: line for line in full.read_text().splitlines()}
+        lines = part.read_text().splitlines()
+        assert lines == [rows["qubit_id"], rows["3"], rows["16"]]
+        assert lines[2].split(",")[9:] == ["0", "2", "0", "vertical"]
+
+    def test_no_spin_columns(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("h,samples\n-0.5,100\n0.5,100\n")
+        out = tmp_path / "out.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines() == [
+            "qubit_id,beta,b,eta,gamma,log_likelihood,n_points,total_samples,converged,"
+            "row,col,k,orientation"
+        ]
+        assert "qasa fit: 0 fitted, 0 failed, 0 flagged in " in capsys.readouterr().err
+
+    def test_header_only_input(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("h,samples,spin_0,spin_9\n")
+        out = tmp_path / "out.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert "qasa fit: 0 fitted, 2 failed, 0 flagged in " in err
+        for q in (0, 9):
+            assert f"fit failed for qubit {q}: need >= 8 distinct fields spanning " \
+                   f"h < 0 and h > 0, got 0\n" in err
+
     def test_worker_invariance(self, mini_run, tmp_path):
         _, raw, params = mini_run
         multi = tmp_path / "multi.csv"
@@ -179,6 +218,15 @@ class TestAnalyze:
         assert abs(report["summaries"]["beta"]["median"] - 10.54) / 10.54 < 0.05
         assert len(report["heatmaps"]["gamma"]) == 8
 
+    def test_short_params_row_exit(self, tmp_path, capsys):
+        params = tmp_path / "params.csv"
+        params.write_text("qubit_id,beta,b,eta,gamma\n0,10,0.0,0.03\n")
+        assert run([
+            "analyze", "--params", str(params), "--chip", "chimera:1",
+            "--out", str(tmp_path / "x.json"),
+        ]) == EXIT_DATA
+        assert "params.csv:2: expected 5 cells, got 4" in capsys.readouterr().err
+
     def test_params_topology_mismatch(self, mini_run, tmp_path):
         _, _, params = mini_run
         assert run([
@@ -206,6 +254,16 @@ class TestSweep:
             line.split(",", 1) for line in out.read_text().splitlines() if line.startswith("trend")
         )
         assert float(lines["trend_c1"]) == pytest.approx(5.2 / np.log(125), abs=1e-12)
+
+    def test_one_cell_row(self, tmp_path, capsys):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n1.0\n")
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta",
+            "--out", str(tmp_path / "t.csv"),
+        ]) == EXIT_DATA
+        assert "sets.csv:3: expected 2 cells, got 1" in capsys.readouterr().err
 
     def test_needs_two_datasets(self, tmp_path):
         self.write_params_file(tmp_path / "p1.csv", 10.5)

@@ -273,6 +273,18 @@ class TestFitChip:
         results, failures = fit_chip(counts)
         assert results == {} and failures == {}
 
+    def test_no_fields_fails_every_qubit(self):
+        counts = RawCounts(h=np.array([]), samples=np.array([]), counts={0: [], 4: []})
+        results, failures = fit_chip(counts)
+        assert results == {}
+        assert failures == {q: "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
+                            for q in (0, 4)}
+
+    def test_fields_outside_unit_flag(self):
+        wide = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=tuple(np.linspace(-2, 2, 17)))
+        assert "fields_outside_unit" in fit_qubit(wide, 0).flags
+        assert "fields_outside_unit" not in fit_qubit(MIXED_CHIP, 0).flags
+
     def test_identical_counts_identical_results(self):
         base = synth_counts(FIG1_PARAMS, 100_000, seed=7)
         counts = RawCounts(

@@ -81,6 +81,24 @@ class TestRawRoundTrip:
         write_raw(counts, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_duplicate_zero_keeps_first_sign(self, tmp_path):
+        # -0 and 0 are one field; the merged row keeps the sign read first
+        for first, second in (("-0", "0"), ("0", "-0")):
+            path = tmp_path / "raw.csv"
+            path.write_text(f"h,samples,spin_1\n0.5,10,1\n0.5,10,1\n{first},10,2\n{second},5,3\n")
+            counts = read_raw(path)
+            assert raw_to_bytes(counts).decode() == f"h,samples,spin_1\n{first},15,5\n0.5,20,2\n"
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("h,samples,spin_9,spin_0\n")
+        counts = read_raw(path)
+        assert counts.n_fields() == 0
+        assert counts.qubit_ids == [0, 9]
+        write_raw(counts, path)
+        assert path.read_text() == "h,samples,spin_0,spin_9\n"
+        assert raw_to_bytes(read_raw(path)) == path.read_bytes()
+
     def test_empty_qubit_set(self, tmp_path):
         counts = RawCounts(h=np.array([0.0]), samples=np.array([10]), counts={})
         path = tmp_path / "empty.csv"
@@ -102,6 +120,7 @@ class TestRawErrors:
             ("h,samples,spin_0\n0.0,100,5\n0.1,100,nope\n", 3),
             ("h,samples,spin_0\n0.0,100,5\nnan,100,5\n", 3),
             ("h,samples,spin_0\ninf,100,5\n", 2),
+            ("h,samples,spin_0\n0.5,5000000000000000000,0\n0.5,5000000000000000000,0\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, body, line):
@@ -174,6 +193,31 @@ class TestParamsTable:
         with pytest.raises(FormatError) as exc:
             read_params(path)
         assert ":3:" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "header,row",
+        [
+            ("qubit_id,beta,b,eta,gamma", "1,10,0.0,0.03"),
+            ("qubit_id,beta,b,eta,gamma", "1,10,0.0,0.03,0.01,7"),
+            ("qubit_id,beta,b,eta,gamma,log_likelihood", "1,10,0.0,0.03,0.01,abc"),
+            ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,8x"),
+            ("qubit_id,beta,b,eta,gamma,total_samples", "1,10,0.0,0.03,0.01,1.5"),
+        ],
+    )
+    def test_rejects_short_rows_and_bad_cells(self, tmp_path, header, row):
+        path = tmp_path / "params.csv"
+        first = "0,10,0,0.1,0" + ",1" * (header.count(",") - 4)
+        path.write_text(f"{header}\n{first}\n{row}\n")
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert ":3:" in str(exc.value)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "params.csv"
+        path.write_text("qubit_id,beta,b,eta,gamma\n\n0,10,0,0.1,0\n0,11,0,0.1,0\n")
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert ":4:" in str(exc.value)
 
     def test_rejects_bad_header_and_duplicates(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -131,6 +131,13 @@ class TestSimulateChip:
             with pytest.raises(ValueError):
                 RawCounts(h=np.array([0.0, bad]), samples=np.array([10, 10]), counts={})
 
+    def test_raw_counts_errors_name_the_qubit(self):
+        h, samples = np.array([0.0, 0.5]), np.array([10, 20])
+        with pytest.raises(ValueError, match="qubit 7 outside"):
+            RawCounts(h=h, samples=samples, counts={3: [10, 20], 7: [0, 21], 1: [-1, 0]})
+        with pytest.raises(ValueError, match="qubit 1 has wrong length"):
+            RawCounts(h=h, samples=samples, counts={3: [10, 20], 1: [0]})
+
     def test_matches_per_qubit_sampling(self):
         # the chip's one batched kernel call draws what sample_counts draws
         rng = np.random.default_rng(12)
