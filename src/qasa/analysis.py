@@ -7,6 +7,7 @@ against the logarithm of anneal time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class AnnealSweepPoint:
     stds: dict
 
     def __post_init__(self):
-        if self.anneal_time_us <= 0:
-            raise AnalysisError(f"anneal time must be positive, got {self.anneal_time_us}")
+        if not (0 < self.anneal_time_us < math.inf):
+            raise AnalysisError(f"anneal time must be positive and finite, got {self.anneal_time_us}")
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -69,12 +70,16 @@ def _load_truth(text, spec):
     return {q: r.params for q, r in read_params(text).items()}
 
 
-def _infer_spec(ids, convention):
-    """The smallest Chimera grid that holds every id."""
-    top = max(ids, default=-1)
-    n = 1
-    while 8 * n * n <= top:
-        n += 1
+def _infer_spec(ids, chip, convention):
+    """The chip that places every id: `chip` when given, which must hold
+    them all, else the smallest Chimera grid that does."""
+    if chip:
+        n = parse_chip(chip).grid
+    else:
+        top = max(ids, default=-1)
+        n = 1
+        while 8 * n * n <= top:
+            n += 1
     return ChimeraSpec(grid=n, operational=frozenset(ids), vertical_low_k=(convention == "vertical-low-k"))
 
 
@@ -93,7 +98,7 @@ def cmd_simulate(args, started):
 def cmd_fit(args, started):
     counts = read_raw(args.infile)
     # layout columns come from the whole file, so a subset keeps its sites
-    spec = _infer_spec(counts.qubit_ids, args.orientation_convention)
+    spec = _infer_spec(counts.qubit_ids, args.chip, args.orientation_convention)
     if args.qubits:
         keep = set(args.qubits)
         unknown = keep - set(counts.counts)
@@ -158,6 +163,9 @@ def cmd_sweep(args, started):
                 t = float(row[0])
             except ValueError:
                 raise FormatError(f"{args.manifest}:{line_no}: bad anneal time {row[0]!r}")
+            if not (0 < t < math.inf):
+                raise FormatError(f"{args.manifest}:{line_no}: anneal time must be positive "
+                                  f"and finite, got {row[0]!r}")
             path = row[1] if os.path.isabs(row[1]) else os.path.join(base, row[1])
             points.append(sweep_point(t, read_params(path)))
     if len({pt.anneal_time_us for pt in points}) < 2:
@@ -196,6 +204,9 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
     p.add_argument("--out", required=True, help="output params CSV path")
     p.add_argument("--qubits", type=int, nargs="+", help="restrict to these qubit ids")
+    p.add_argument("--chip",
+                   help="chip spec for the layout columns, e.g. chimera:16 "
+                        "(default: the smallest Chimera grid that holds every id)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the output is identical for any value")
     p.add_argument("--orientation-convention", choices=["vertical-low-k", "horizontal-low-k"],

@@ -22,9 +22,16 @@ active set: a parameter on an edge that the score pushes against stays
 fixed.  A qubit has converged once its Newton decrement g^T I^-1 g (twice
 the gain a full step predicts) is below `_DECREMENT_TOL`, or has stalled
 at the rounding floor of its score (`_DECREMENT_FINE`), and is then left
-as it is.  Every operation acts on each qubit's row alone and sums in a
-fixed order (`_rowsum`), so a fit does not depend on which qubits share
-its block.
+as it is.
+
+Evaluation is field-major.  A block's spin means are an (F, Q) array,
+fields by qubits, and `_mixture` returns every term in that layout, dT as
+(4, F, Q).  `_objective` writes the likelihood, 4 score and 10 distinct
+information terms into one (15, F, Q) buffer and sums it over fields with
+a single in-place pairwise halving, `_fieldsum`, which makes every other
+sum of the fitter too, so each runs in one fixed order.  Every operation
+acts on each qubit alone, so a fit does not depend on which qubits share
+its block, and a qubit that has converged is not evaluated again.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import QubitParams, _mixture, _theta
+from .model import QubitParams, _mixture
 from .simulator import RawCounts
 
 # Search box; brackets every parameter value seen in practice by a wide margin.
@@ -150,34 +157,64 @@ def empirical_estimates(counts: RawCounts, qubit: int, confidence: float = 0.997
     return out
 
 
-def _rowsum(x):
-    """Sum over the last axis by pairwise halving.
+def _fieldsum(x):
+    """Sum x over its leading axis by pairwise halving, in place.
 
-    numpy's own reductions choose their summation order from the array's
-    shape (one row sums differently from a stack of rows), which would tie
-    a qubit's fit to the batch it is in; halving fixes the order for any
-    leading shape.
+    Returns x[0], the sum; the rest of x is consumed, so x must be a
+    buffer built for this call.  numpy's own reductions choose their
+    summation order from the array's shape (one qubit sums differently
+    from a stack of qubits), which would tie a qubit's fit to the block it
+    is in; halving fixes the order for any trailing shape.  Each step adds
+    the upper half onto the lower one and moves an odd last element down
+    beside the sums, without a copy of the rest.
     """
-    while x.shape[-1] > 1:
-        n = x.shape[-1] // 2
-        x = np.concatenate([x[..., :n] + x[..., n:2 * n], x[..., 2 * n:]], axis=-1)
-    return x[..., 0]
+    n = x.shape[0]
+    while n > 1:
+        half = n // 2
+        x[:half] += x[half:2 * half]
+        if n % 2:
+            x[half] = x[2 * half]
+            half += 1
+        n = half
+    return x[0]
+
+
+# the 10 distinct entries of a symmetric 4x4 matrix, row by row
+_UPPER = np.triu_indices(4)
 
 
 def _objective(h, theta, means, weights):
     """Likelihood (Q,), score (Q, 4) and expected information (Q, 4, 4) of
-    every row of theta (Q, 4) against its spin means (Q, F)."""
-    om, op, _, dT = _mixture(h, theta, grad=True)
-    om = np.maximum(om, _TINY)
-    op = np.maximum(op, _TINY)
+    every row of theta (Q, 4) against its field-major spin means (F, Q).
+
+    The per-field terms are written field-major into one (15, F, Q)
+    buffer, likelihood, 4 score and 10 information terms, which one
+    `_fieldsum` reduces over fields.  The information's upper triangle is
+    mirrored into its lower one, which is exact: dT_i*dT_j == dT_j*dT_i.
+    """
+    om, op, _, dT = _mixture(h[:, None], theta.T[:, None, :], grad=True)
+    np.maximum(om, _TINY, out=om)
+    np.maximum(op, _TINY, out=op)
+    w = weights[:, None]
     lo, hi = (1.0 - means) / 2.0, (1.0 + means) / 2.0
+    terms = np.empty((15,) + om.shape)
     # log((om + op)/2) is zero but for rounding; it makes L exactly zero
     # wherever T is exactly zero
-    ll = _rowsum(weights * (hi * np.log(op) + lo * np.log(om) - np.log((om + op) / 2.0)))
+    terms[0] = w * (hi * np.log(op) + lo * np.log(om) - np.log((om + op) / 2.0))
     # dL/dT = (m - T)/(1 - T^2), written so as not to cancel near |T| = 1
-    score = _rowsum(dT * (weights * (hi / op - lo / om))[:, None, :])
-    info = _rowsum(dT[:, :, None, :] * dT[:, None, :, :] * (weights / (om * op))[:, None, None, :])
-    return ll, score, info
+    np.multiply(dT, w * (hi / op - lo / om), out=terms[1:5])
+    v = w / (om * op)
+    k = 5
+    for i in range(4):
+        row = terms[k:k + 4 - i]
+        np.multiply(dT[i], dT[i:], out=row)
+        row *= v
+        k += 4 - i
+    sums = _fieldsum(terms.swapaxes(0, 1))
+    info = np.empty((om.shape[1], 4, 4))
+    info[:, _UPPER[0], _UPPER[1]] = info[:, _UPPER[1], _UPPER[0]] = sums[5:].T
+    # copies, so that the buffer is freed before the next evaluation
+    return sums[0].copy(), sums[1:5].T.copy(), info
 
 
 def _data(h, means, weights):
@@ -186,34 +223,34 @@ def _data(h, means, weights):
         raise FitError("no data points")
     if weights is None:
         weights = np.full(h.size, 1.0 / h.size)
-    return h, np.asarray(means, dtype=float)[None, :], np.asarray(weights, dtype=float)
+    return h, np.asarray(means, dtype=float)[:, None], np.asarray(weights, dtype=float)
 
 
 def log_likelihood(p: QubitParams, h, means, weights=None):
     """Weighted model likelihood of empirical spin means."""
     h, means, weights = _data(h, means, weights)
-    return float(_objective(h, _theta(p), means, weights)[0][0])
+    return float(_objective(h, np.array([p.astuple()]), means, weights)[0][0])
 
 
 def log_likelihood_grad(p: QubitParams, h, means, weights=None):
     """Gradient of `log_likelihood` wrt (beta, b, eta, gamma): the score
     the fitter steps along."""
     h, means, weights = _data(h, means, weights)
-    return _objective(h, _theta(p), means, weights)[1][0]
+    return _objective(h, np.array([p.astuple()]), means, weights)[1][0]
 
 
 def _initial_guess(h, means, samples):
-    """Data-driven start per row of means (Q, F): slope/intercept of
+    """Data-driven start per qubit of means (F, Q): slope/intercept of
     arctanh(mean) vs h near the origin."""
-    lim = clamp_limit(samples)
+    lim = clamp_limit(samples)[:, None]
     y = np.arctanh(np.clip(means, -lim, lim))
     sel = np.abs(h) <= 0.3
     if np.unique(h[sel]).size < 2:
         sel = np.ones_like(h, dtype=bool)
-    x, y = h[sel], y[:, sel]
+    x, y = h[sel], y[sel]
     dx = x - x.mean()
-    slope = _rowsum(y * dx) / np.sum(dx * dx)
-    intercept = _rowsum(y) / x.size - slope * x.mean()
+    slope = _fieldsum(y * dx[:, None]) / np.sum(dx * dx)
+    intercept = _fieldsum(y) / x.size - slope * x.mean()
     beta0 = np.clip(slope, *BOX["beta"])
     b0 = np.clip(-intercept / beta0, *BOX["b"])
     return np.column_stack([beta0, b0, np.full_like(b0, 0.03), np.full_like(b0, 0.02)])
@@ -233,39 +270,50 @@ def _newton(theta, score, info, fixed=None):
     scale = np.where(fixed, 0.0, 1.0 / np.sqrt(np.maximum(diag, _TINY)))
     g = (scale * score)[..., None]
     a = scale[:, :, None] * info * scale[:, None, :] + np.eye(4) * (fixed[:, :, None] + _RIDGE)
-    return fixed, scale, g, a, _rowsum((g * np.linalg.solve(a, g))[..., 0])
+    return fixed, scale, g, a, _fieldsum((g * np.linalg.solve(a, g))[..., 0].T)
 
 
 def _fit_block(h, weights, means, samples):
-    """Damped Fisher scoring on every row of means (Q, F) at once.
+    """Damped Fisher scoring on every qubit of means (F, Q) at once.
 
-    Returns (theta (Q, 4), log-likelihood (Q,), converged (Q,)).
+    A qubit that has converged is left out of every later evaluation,
+    which changes nothing else, as each qubit's steps depend on its own
+    rows alone.  Returns (theta (Q, 4), log-likelihood (Q,), converged (Q,)).
     """
     theta = _initial_guess(h, means, samples)
     ll, score, info = _objective(h, theta, means, weights)
     damping = np.full(len(theta), _DAMPING[0])
     done = np.zeros(len(theta), dtype=bool)
+    live = np.arange(len(theta))  # the qubits not yet done
     for _ in range(_MAX_ITER):
-        fixed, scale, g, a, decrement = _newton(theta, score, info)
+        th = theta[live]
+        fixed, scale, g, a, decrement = _newton(th, score[live], info[live])
         fine = decrement <= _DECREMENT_FINE
-        done |= (decrement <= _DECREMENT_TOL) | (fine & (damping >= _DAMPING[1]))
-        if done.all():
-            break
-        step = scale * np.linalg.solve(a + damping[:, None, None] * np.eye(4), g)[..., 0]
-        trial = theta + step
+        stop = (decrement <= _DECREMENT_TOL) | (fine & (damping[live] >= _DAMPING[1]))
+        if stop.any():
+            done[live[stop]] = True
+            go = ~stop
+            live, th, fixed, scale, g, a, decrement, fine = (
+                v[go] for v in (live, th, fixed, scale, g, a, decrement, fine))
+            if not live.size:
+                break
+        step = scale * np.linalg.solve(a + damping[live, None, None] * np.eye(4), g)[..., 0]
+        trial = th + step
         # eta, gamma: d(x^2) = 2x dx, so x^2 moves by 2x*step
-        trial[:, 2:] = np.sqrt(np.maximum(theta[:, 2:] * (theta[:, 2:] + 2.0 * step[:, 2:]), 0.0))
-        trial = np.where(done[:, None], theta, np.clip(trial, _BOX_LO, _BOX_HI))
-        t_ll, t_score, t_info = _objective(h, trial, means, weights)
-        gain = t_ll - ll
+        trial[:, 2:] = np.sqrt(np.maximum(th[:, 2:] * (th[:, 2:] + 2.0 * step[:, 2:]), 0.0))
+        trial = np.clip(trial, _BOX_LO, _BOX_HI)
+        t_ll, t_score, t_info = _objective(h, trial, means[:, live], weights)
+        gain = t_ll - ll[live]
         # judged on the same active set, as the decrement jumps where it changes
         shrinks = _newton(trial, t_score, t_info, fixed)[4] < decrement
-        accept = ~done & np.where(fine, shrinks & (gain >= -_LL_SLACK), gain > 0)
-        theta = np.where(accept[:, None], trial, theta)
-        ll = np.where(accept, t_ll, ll)
-        score = np.where(accept[:, None], t_score, score)
-        info = np.where(accept[:, None, None], t_info, info)
-        damping = np.where(accept, damping / 3.0, np.minimum(damping * 10.0, _DAMPING[1]))
+        accept = np.where(fine, shrinks & (gain >= -_LL_SLACK), gain > 0)
+        moved = live[accept]
+        theta[moved] = trial[accept]
+        ll[moved] = t_ll[accept]
+        score[moved] = t_score[accept]
+        info[moved] = t_info[accept]
+        damping[live] = np.where(accept, damping[live] / 3.0,
+                                 np.minimum(damping[live] * 10.0, _DAMPING[1]))
     return theta, ll, done
 
 
@@ -308,7 +356,8 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     results = {}
     for start in range(0, len(ids), _BLOCK):
         block = ids[start:start + _BLOCK]
-        means = (m - 2.0 * np.array([counts.counts[q] for q in block])) / m
+        # field-major: each qubit is a column
+        means = np.ascontiguousarray(((m - 2.0 * counts._table[start:start + _BLOCK]) / m).T)
         theta, ll, converged = _fit_block(counts.h, weights, means, counts.samples)
         low_eta = theta[:, 2] < LOW_ETA
         # eta/gamma sitting on their natural zero floor is ordinary, not a

@@ -12,8 +12,10 @@ explicit 2x2 matrix exponentials (`density_matrix_expectation`).  The second
 exists purely as a cross-check oracle for the first.
 
 The closed form lives in one kernel, `_mixture`, which evaluates every
-qubit of a (Q, 4) parameter array at every field at once, with the
-derivatives the fitter needs.  `spin_expectation`, `effective_field`, the
+qubit of a parameter array at every field at once, with the derivatives
+the fitter needs; the parameters sit on the array's leading axis and
+broadcast against the fields, so the caller picks a qubit-major or a
+field-major layout.  `spin_expectation`, `effective_field`, the
 simulator and the estimator's likelihood, score and information are all
 views of it.
 """
@@ -66,18 +68,24 @@ class QubitParams:
 
 
 def _theta(p: QubitParams):
-    """One qubit's parameters as a (1, 4) row for `_mixture`."""
-    return np.array([p.astuple()])
+    """One qubit's parameters as a (4, 1, 1) array for `_mixture`, which
+    fits either of its layouts."""
+    return np.array(p.astuple()).reshape(4, 1, 1)
 
 
 def _mixture(h, theta, halves=True, grad=False):
     """The mixture kernel: every qubit's spin mean at every field.
 
-    h has shape (F,) and theta shape (Q, 4), one (beta, b, eta, gamma) row
-    per qubit.  Returns (om, op, T, dT): the mean spin T and its halves
-    om = 1 - T and op = 1 + T, each (Q, F), and dT/dtheta of shape
-    (Q, 4, F).  The halves are skipped unless `halves` is set and dT unless
-    `grad` is; a skipped part is None.
+    theta holds (beta, b, eta, gamma) on its leading axis, each of which
+    broadcasts against h; the caller picks the layout.  Qubit-major:
+    theta (4, Q, 1) against h (F,) gives (Q, F) results, as the simulator,
+    `spin_expectation` and `effective_field` use.  Field-major: theta
+    (4, 1, Q) against h (F, 1) gives (F, Q), as the fitter uses.  Returns
+    (om, op, T, dT): the mean spin T and its halves om = 1 - T and
+    op = 1 + T, each of the broadcast shape S, and dT/dtheta stacked on a
+    leading axis, (4,) + S.  The halves are skipped unless `halves` is set
+    and dT unless `grad` is; a skipped part is None.  Every element is
+    computed by the same arithmetic in either layout.
 
     Each noise sign s contributes c*tanh(beta*r)/(2r) to T, with
     c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
@@ -89,12 +97,12 @@ def _mixture(h, theta, halves=True, grad=False):
     Small-r factors use their analytic limits.
     """
     h = np.asarray(h, dtype=float)
-    beta, b, eta, gamma = (theta[:, i, None] for i in range(4))
-    x = gamma * h
+    beta, b, eta, gamma = theta
+    x = gamma * h  # of the broadcast shape, as all four share theta's shape
     T = np.zeros(x.shape)
     om = np.zeros(x.shape) if halves else None
     op = np.zeros(x.shape) if halves else None
-    dT = np.zeros((x.shape[0], 4, x.shape[1])) if grad else None
+    dT = np.zeros((4,) + x.shape) if grad else None
     for s in (+1.0, -1.0):
         c = h + b + s * eta
         r = np.hypot(x, c)
@@ -125,10 +133,10 @@ def _mixture(h, theta, halves=True, grad=False):
             )
             # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
             B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
-            dT[:, 0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)  # d/dbeta
-            dT[:, 1] += d_dc                                       # d/db
-            dT[:, 2] += s * d_dc                                   # d/deta
-            dT[:, 3] += (c * x * h / safe_r) * B                   # d/dgamma
+            dT[0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)  # d/dbeta
+            dT[1] += d_dc                                       # d/db
+            dT[2] += s * d_dc                                   # d/deta
+            dT[3] += (c * x * h / safe_r) * B                   # d/dgamma
     return om, op, T, dT
 
 

@@ -12,7 +12,9 @@ depend on which other qubits are simulated with it, or in what order.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,37 +64,48 @@ def default_sweep() -> SweepDesign:
     return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawCounts:
-    """Per-field -1 tallies for a set of qubits.
+    """Per-field -1 tallies for a set of qubits; read-only once built.
 
     h and samples are 1-d arrays over fields; counts maps qubit id to an
-    array of -1 counts aligned with h.
+    array of -1 counts aligned with h, in ascending id order.  Each column
+    is a row of one (qubit, field) int64 table, stored in that order, so a
+    run of consecutive ids is a slice of it.  The table, h and samples are
+    read-only copies, and counts is a read-only mapping, so a column can
+    only be set by building a new RawCounts, which checks it.
     """
 
     h: np.ndarray
     samples: np.ndarray
-    counts: dict = field(default_factory=dict)
+    counts: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        if not np.all(np.isfinite(self.h)):
+        h = np.array(self.h, dtype=float)
+        if not np.all(np.isfinite(h)):
             raise ValueError("non-finite input field in h")
-        self.samples = np.asarray(self.samples, dtype=np.int64)
+        samples = np.array(self.samples, dtype=np.int64)
         ids = list(self.counts)
-        wrong = [q for q, c in self.counts.items() if np.shape(c) != self.h.shape]
+        wrong = [q for q, c in self.counts.items() if np.shape(c) != h.shape]
         if wrong:
             raise ValueError(f"count column for qubit {wrong[0]} has wrong length")
-        # one (qubit, field) table; each column is a row of it
-        table = np.array(list(self.counts.values()), dtype=np.int64).reshape(len(ids), self.h.size)
-        outside = np.any((table < 0) | (table > self.samples), axis=1)
+        table = np.array(list(self.counts.values()), dtype=np.int64).reshape(len(ids), h.size)
+        outside = np.any((table < 0) | (table > samples), axis=1)
         if outside.any():
             raise ValueError(f"counts for qubit {ids[outside.argmax()]} outside [0, samples]")
-        self.counts = dict(zip(ids, table))
+        if ids != sorted(ids):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, table = [ids[i] for i in order], table[order]
+        for a in (h, samples, table):
+            a.flags.writeable = False
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "counts", MappingProxyType(dict(zip(ids, table))))
+        object.__setattr__(self, "_table", table)
 
     @property
     def qubit_ids(self):
-        return sorted(self.counts)
+        return list(self.counts)
 
     def n_fields(self) -> int:
         return self.h.size
@@ -140,6 +153,8 @@ def simulate_chip(truth: dict, design: SweepDesign, operational=None) -> RawCoun
             raise CoverageError(missing)
     n = len(design.fields)
     samples = np.full(n, design.samples_per_field, dtype=np.int64)
-    p_minus = _p_minus(np.array([truth[q].astuple() for q in ids]).reshape(-1, 4), design)
+    theta = np.array([truth[q].astuple() for q in ids]).reshape(-1, 4)
+    # qubit-major: (4, Q, 1) parameters against (F,) fields give (Q, F)
+    p_minus = _p_minus(theta.T[:, :, None], design)
     counts = {q: _draw(pm, design, q) for q, pm in zip(ids, p_minus)}
     return RawCounts(h=np.array(design.fields), samples=samples, counts=counts)

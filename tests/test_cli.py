@@ -4,8 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from qasa.analysis import AnalysisError, AnnealSweepPoint
 from qasa.cli import EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser, main
 from qasa.data_io import read_raw, write_raw
+from qasa.simulator import RawCounts
 
 
 def run(argv):
@@ -122,6 +124,31 @@ class TestFit:
         assert lines == [rows["qubit_id"], rows["3"], rows["16"]]
         assert lines[2].split(",")[9:] == ["0", "2", "0", "vertical"]
 
+    def test_chip_places_a_file_without_its_top_cells(self, tmp_path, capsys):
+        # ids below 32 of a 3x3-cell chip would fit a 2x2 grid on their own
+        raw = tmp_path / "raw.csv"
+        assert run([
+            "simulate", "--chip", "chimera:3", "--truth", "preset:median",
+            "--h-step", "0.25", "--samples", "10000", "--seed", "2", "--out", str(raw),
+        ]) == EXIT_OK
+        counts = read_raw(raw)
+        cut = tmp_path / "cut.csv"
+        write_raw(RawCounts(counts.h, counts.samples,
+                            {q: c for q, c in counts.counts.items() if q < 32}), cut)
+        full, part, inferred = tmp_path / "full.csv", tmp_path / "part.csv", tmp_path / "inf.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(full)]) == EXIT_OK
+        assert run(["fit", "--in", str(cut), "--out", str(part), "--chip", "chimera:3"]) == EXIT_OK
+        assert run(["fit", "--in", str(cut), "--out", str(inferred)]) == EXIT_OK
+        lines = full.read_text().splitlines()[:33]
+        assert part.read_text().splitlines() == lines
+        assert inferred.read_text().splitlines() != lines
+
+        capsys.readouterr()
+        out = tmp_path / "small.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(out), "--chip", "chimera:2"]) == EXIT_DATA
+        assert "qubit ids out of range [0, 32)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_spin_columns(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text("h,samples\n-0.5,100\n0.5,100\n")
@@ -162,7 +189,7 @@ class TestFit:
         # a dead qubit that always reads +1 fits at the box edge and is flagged
         _, raw, _ = mini_run
         counts = read_raw(raw)
-        counts.counts[99] = np.zeros_like(counts.samples)
+        counts = RawCounts(counts.h, counts.samples, {**counts.counts, 99: np.zeros_like(counts.samples)})
         dead = tmp_path / "dead.csv"
         write_raw(counts, dead)
         capsys.readouterr()
@@ -264,6 +291,24 @@ class TestSweep:
             "--out", str(tmp_path / "t.csv"),
         ]) == EXIT_DATA
         assert "sets.csv:3: expected 2 cells, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-2"])
+    def test_non_finite_or_nonpositive_time(self, tmp_path, capfd, bad):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text(f"anneal_time_us,params_file\n1,p1.csv\n{bad},p1.csv\n")
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta",
+            "--out", str(tmp_path / "t.csv"),
+        ]) == EXIT_DATA
+        out, err = capfd.readouterr()
+        assert f"sets.csv:3: anneal time must be positive and finite, got '{bad}'" in err
+        assert "DLASCL" not in out + err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_sweep_point_rejects_time(self, bad):
+        with pytest.raises(AnalysisError, match="positive and finite"):
+            AnnealSweepPoint(bad, {}, {})
 
     def test_needs_two_datasets(self, tmp_path):
         self.write_params_file(tmp_path / "p1.csv", 10.5)

@@ -18,6 +18,7 @@ from qasa import (
 )
 from qasa import estimator
 from qasa.estimator import FitError, log_likelihood_grad
+from qasa.model import _mixture
 from qasa.simulator import RawCounts
 
 FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
@@ -356,3 +357,100 @@ class TestFitChip:
         assert 0 in results and not failures
         results, failures = fit_chip(few)
         assert 1 in failures and not results
+
+
+def _rowsum_reference(x):
+    """The fitter's earlier fixed-order sum over the last axis, by pairwise
+    halving with a concatenation at every step; `_fieldsum` must add the
+    same pairs in the same order."""
+    while x.shape[-1] > 1:
+        n = x.shape[-1] // 2
+        x = np.concatenate([x[..., :n] + x[..., n:2 * n], x[..., 2 * n:]], axis=-1)
+    return x[..., 0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestFieldMajorEvaluation:
+    def test_fieldsum_matches_the_concatenating_sum(self):
+        rng = np.random.default_rng(21)
+        order_matters = False
+        for n in range(1, 131):
+            for lead in ((), (3,), (2, 5), (15, 4)):
+                # wide dynamic range, so that a different order rounds differently
+                x = rng.standard_normal(lead + (n,)) * 10.0 ** rng.uniform(-8, 8, lead + (n,))
+                ref = _rowsum_reference(x)
+                assert _same_bits(estimator._fieldsum(np.moveaxis(x, -1, 0).copy()), ref)
+                if len(lead) == 2:
+                    # a strided view, as `_objective` hands over its buffer
+                    buf = np.ascontiguousarray(np.moveaxis(x, -1, 1))
+                    assert _same_bits(estimator._fieldsum(buf.swapaxes(0, 1)), ref)
+                order_matters |= not _same_bits(np.cumsum(x, axis=-1)[..., -1], ref)
+        assert order_matters
+
+    def _thetas(self):
+        rng = np.random.default_rng(5)
+        random = np.column_stack([
+            rng.uniform(0.1, 100, 40), rng.uniform(-0.2, 0.2, 40),
+            rng.uniform(0, 0.5, 40), rng.uniform(0, 0.5, 40),
+        ])
+        special = np.array([
+            [10.0, 0.125, 0.0625, 0.0],    # gamma = 0: r = 0 at h = -b -+ eta
+            [100.0, 0.125, 0.0625, 0.0],
+            [100.0, 0.0, 0.0, 0.0],        # saturated, r = 0 at h = 0
+            [100.0, 0.0025, 0.0367, 0.0176],
+            [100.0, -0.2, 0.5, 0.5],
+        ])
+        return np.vstack([special, random])
+
+    def test_mixture_layouts_are_transposes(self):
+        theta = self._thetas()
+        h = np.union1d(field_grid(), [-0.1875, -0.0625])  # h = -b -+ eta above
+        qm = _mixture(h, theta.T[:, :, None], grad=True)
+        fm = _mixture(h[:, None], theta.T[:, None, :], grad=True)
+        for a, b in zip(qm[:3], fm[:3]):  # om, op, T
+            assert _same_bits(a.T, b)
+        assert _same_bits(qm[3].swapaxes(1, 2), fm[3])
+        t_only = _mixture(h[:, None], theta.T[:, None, :], halves=False)
+        assert _same_bits(t_only[2], fm[2])
+        assert t_only[0] is None and t_only[3] is None
+
+    def test_objective_matches_the_qubit_major_products(self):
+        theta = self._thetas()
+        counts = MIXED_CHIP
+        h, m = counts.h, counts.samples.astype(float)
+        w = m / m.sum()
+        means = (m - 2.0 * counts._table[np.arange(len(theta)) % 12]) / m  # (Q, F)
+        ll, score, info = estimator._objective(h, theta, np.ascontiguousarray(means.T), w)
+        # the same terms laid out qubit-major, summed by the reference
+        om, op, _, dT = _mixture(h, theta.T[:, :, None], grad=True)
+        om, op = np.maximum(om, 1e-300), np.maximum(op, 1e-300)
+        dT = dT.swapaxes(0, 1)  # (Q, 4, F)
+        lo, hi = (1.0 - means) / 2.0, (1.0 + means) / 2.0
+        ref_ll = _rowsum_reference(w * (hi * np.log(op) + lo * np.log(om) - np.log((om + op) / 2.0)))
+        ref_score = _rowsum_reference(dT * (w * (hi / op - lo / om))[:, None, :])
+        ref_info = _rowsum_reference(
+            dT[:, :, None, :] * dT[:, None, :, :] * (w / (om * op))[:, None, None, :])
+        assert _same_bits(ll, ref_ll)
+        assert _same_bits(score, ref_score)
+        assert _same_bits(info, ref_info)
+        assert _same_bits(info, info.transpose(0, 2, 1))
+
+    def test_converged_qubits_are_not_evaluated_again(self):
+        rows = []
+        objective = estimator._objective
+
+        def counting(h, theta, means, weights):
+            rows.append(len(theta))
+            return objective(h, theta, means, weights)
+
+        with mock.patch.object(estimator, "_objective", counting):
+            fit_chip(MIXED_CHIP)
+        # the start is evaluated for every qubit, then each trial only for
+        # the qubits still stepping
+        assert rows[0] == 12
+        assert all(a >= b for a, b in zip(rows, rows[1:]))
+        assert rows[-1] < 12

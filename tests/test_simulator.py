@@ -138,6 +138,24 @@ class TestSimulateChip:
         with pytest.raises(ValueError, match="qubit 1 has wrong length"):
             RawCounts(h=h, samples=samples, counts={3: [10, 20], 1: [0]})
 
+    def test_raw_counts_are_read_only(self):
+        h, samples = np.array([0.0, 0.5]), np.array([10, 20])
+        given = {7: np.array([1, 2]), 3: np.array([3, 4])}
+        counts = RawCounts(h=h, samples=samples, counts=given)
+        with pytest.raises(TypeError):
+            counts.counts[5] = np.array([1, 1])
+        with pytest.raises(ValueError):
+            counts.counts[3][0] = -1
+        for a in (counts.h, counts.samples):
+            with pytest.raises(ValueError):
+                a[0] = 1
+        assert counts.qubit_ids == [3, 7]
+        assert counts.counts[7].tolist() == [1, 2]
+        # the caller's arrays stay writable and are not aliased
+        for a in (h, samples, *given.values()):
+            a[0] = 0
+        assert counts.counts[7].tolist() == [1, 2] and counts.samples.tolist() == [10, 20]
+
     def test_matches_per_qubit_sampling(self):
         # the chip's one batched kernel call draws what sample_counts draws
         rng = np.random.default_rng(12)
