@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (
     ParameterError,
@@ -17,6 +17,8 @@ from .model import (
 )
 from .simulator import RawCounts, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
 from .estimator import (
+    FLAGS,
+    ChipFit,
     EffectiveFieldEstimate,
     FitResult,
     empirical_estimates,
@@ -24,7 +26,7 @@ from .estimator import (
     fit_qubit,
     log_likelihood,
 )
-from .topology import ChimeraSpec, QubitSite, heatmap_grid, orientation_groups, parse_chip, site_of
+from .topology import ChimeraSpec, heatmap_grid, parse_chip, sites
 from .analysis import (
     AnnealSweepPoint,
     DistributionSummary,

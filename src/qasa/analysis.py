@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ChimeraSpec, heatmap_grid, orientation_groups
+from .estimator import ChipFit
+from .topology import ChimeraSpec, heatmap_grid, sites
 
 PARAMETERS = ("beta", "b", "eta", "gamma")
 
@@ -67,26 +68,16 @@ class TrendFit:
     residual_rms: float
 
 
-def _param_values(results, parameter):
+def _column(parameter):
     if parameter not in PARAMETERS:
         raise AnalysisError(f"unknown parameter {parameter!r}, expected one of {PARAMETERS}")
-    ids = sorted(results)
-    return ids, np.array([getattr(results[q].params, parameter) for q in ids])
+    return PARAMETERS.index(parameter)
 
 
-def summarize(results: dict, parameter: str, bins: int = 50) -> DistributionSummary:
-    """Distribution summary of one parameter over a fitted chip.
-
-    Median uses the midpoint rule for even counts; outliers lie beyond
-    3*IQR from the quartiles.
-    """
-    if not results:
-        raise AnalysisError("no fit results to summarize")
-    ids, vals = _param_values(results, parameter)
+def _summary(parameter, ids, vals, bins):
     q1, q3 = np.percentile(vals, [25, 75])
     iqr = q3 - q1
-    lo, hi = q1 - 3.0 * iqr, q3 + 3.0 * iqr
-    outliers = [q for q, v in zip(ids, vals) if v < lo or v > hi]
+    outliers = ids[(vals < q1 - 3.0 * iqr) | (vals > q3 + 3.0 * iqr)]
     counts, edges = np.histogram(vals, bins=bins)
     return DistributionSummary(
         parameter=parameter,
@@ -95,37 +86,49 @@ def summarize(results: dict, parameter: str, bins: int = 50) -> DistributionSumm
         median=float(np.median(vals)),
         std=float(vals.std()),
         bin_edges=tuple(edges.tolist()),
-        bin_counts=tuple(int(c) for c in counts),
-        outlier_ids=tuple(outliers),
+        bin_counts=tuple(counts.tolist()),
+        outlier_ids=tuple(outliers.tolist()),
     )
 
 
-def orientation_split(results: dict, spec: ChimeraSpec, parameter: str, bins: int = 50):
-    """(horizontal, vertical) summaries of one parameter."""
-    unknown = set(results) - spec.operational
+def summarize(fit: ChipFit, parameter: str, bins: int = 50) -> DistributionSummary:
+    """Distribution summary of one parameter over a fitted chip.
+
+    Median uses the midpoint rule for even counts; outliers lie beyond
+    3*IQR from the quartiles.
+    """
+    if not len(fit):
+        raise AnalysisError("no fit results to summarize")
+    return _summary(parameter, fit.ids, fit.theta[:, _column(parameter)], bins)
+
+
+def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str, bins: int = 50):
+    """(horizontal, vertical) summaries of one parameter; a side with no
+    fitted qubit is None."""
+    unknown = set(fit.ids.tolist()) - spec.operational
     if unknown:
         raise AnalysisError(f"fitted ids not on chip: {sorted(unknown)[:10]}")
-    horizontal, vertical = orientation_groups(spec)
-    h_res = {q: results[q] for q in horizontal if q in results}
-    v_res = {q: results[q] for q in vertical if q in results}
-    return summarize(h_res, parameter, bins), summarize(v_res, parameter, bins)
+    vals = fit.theta[:, _column(parameter)]
+    vertical = sites(fit.ids, spec)[3]
+    return tuple(
+        _summary(parameter, fit.ids[side], vals[side], bins) if side.any() else None
+        for side in (~vertical, vertical)
+    )
 
 
-def spatial_report(results: dict, spec: ChimeraSpec, parameter: str):
+def spatial_report(fit: ChipFit, spec: ChimeraSpec, parameter: str):
     """Heatmap records of one parameter over the chip layout."""
-    if parameter not in PARAMETERS:
-        raise AnalysisError(f"unknown parameter {parameter!r}")
-    values = {q: getattr(r.params, parameter) for q, r in results.items()}
-    return heatmap_grid(values, spec)
+    vals = fit.theta[:, _column(parameter)]
+    return heatmap_grid(dict(zip(fit.ids.tolist(), vals.tolist())), spec)
 
 
-def sweep_point(anneal_time_us: float, results: dict) -> AnnealSweepPoint:
+def sweep_point(anneal_time_us: float, fit: ChipFit) -> AnnealSweepPoint:
     """Chip-mean and -std of every parameter for one labeled dataset."""
-    means, stds = {}, {}
-    for name in PARAMETERS:
-        _, vals = _param_values(results, name)
-        means[name] = float(vals.mean())
-        stds[name] = float(vals.std())
+    if not len(fit):
+        raise AnalysisError("no fitted qubits")
+    columns = dict(zip(PARAMETERS, fit.theta.T))
+    means = {p: float(v.mean()) for p, v in columns.items()}
+    stds = {p: float(v.std()) for p, v in columns.items()}
     return AnnealSweepPoint(float(anneal_time_us), means, stds)
 
 
@@ -140,14 +143,15 @@ def fit_log_trend(points, parameter: str) -> TrendFit:
     return TrendFit(c0=float(c0), c1=float(c1), residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
-def build_report(results: dict, spec: ChimeraSpec, bins: int = 50) -> dict:
-    """Full analysis document: summaries, H/V splits, and heatmap records."""
-    report = {"schema_version": SCHEMA_VERSION, "n_qubits": len(results)}
-    report["summaries"] = {p: summarize(results, p, bins).to_dict() for p in PARAMETERS}
+def build_report(fit: ChipFit, spec: ChimeraSpec, bins: int = 50) -> dict:
+    """Full analysis document: summaries, H/V splits, and heatmap records.
+    A split side with no fitted qubit is null."""
+    report = {"schema_version": SCHEMA_VERSION, "n_qubits": len(fit)}
+    report["summaries"] = {p: summarize(fit, p, bins).to_dict() for p in PARAMETERS}
     splits = {}
     for p in PARAMETERS:
-        h_sum, v_sum = orientation_split(results, spec, p, bins)
-        splits[p] = {"horizontal": h_sum.to_dict(), "vertical": v_sum.to_dict()}
+        sides = orientation_split(fit, spec, p, bins)
+        splits[p] = {k: s.to_dict() if s else None for k, s in zip(("horizontal", "vertical"), sides)}
     report["orientation_splits"] = splits
-    report["heatmaps"] = {p: spatial_report(results, spec, p) for p in PARAMETERS}
+    report["heatmaps"] = {p: spatial_report(fit, spec, p) for p in PARAMETERS}
     return report

@@ -16,6 +16,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     AnalysisError,
@@ -105,11 +107,11 @@ def cmd_fit(args, started):
         if unknown:
             raise FormatError(f"qubits not in input: {sorted(unknown)}")
         counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
-    results, failures = fit_chip(counts, workers=args.workers)
-    write_params(results, spec, args.out)
+    fit, failures = fit_chip(counts, workers=args.workers)
+    write_params(fit, spec, args.out)
     _write_manifest(args.out, "fit", vars(args), None, started)
-    flagged = sum(1 for r in results.values() if r.flags)
-    print(f"qasa fit: {len(results)} fitted, {len(failures)} failed, {flagged} flagged "
+    flagged = np.count_nonzero(fit.flags)
+    print(f"qasa fit: {len(fit)} fitted, {len(failures)} failed, {flagged} flagged "
           f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
     if failures:
         for q, msg in sorted(failures.items()):
@@ -133,14 +135,14 @@ def cmd_estimate(args, started):
 
 
 def cmd_analyze(args, started):
-    results = read_params(args.params)
+    fit = read_params(args.params)
     spec = parse_chip(args.chip)
     spec = ChimeraSpec(
         grid=spec.grid,
-        operational=frozenset(results),
+        operational=frozenset(fit.ids.tolist()),
         vertical_low_k=(args.orientation_convention == "vertical-low-k"),
     )
-    report = build_report(results, spec, bins=args.bins)
+    report = build_report(fit, spec, bins=args.bins)
     write_report(report, args.out)
     _write_manifest(args.out, "analyze", vars(args), None, started)
     return EXIT_OK
@@ -167,7 +169,10 @@ def cmd_sweep(args, started):
                 raise FormatError(f"{args.manifest}:{line_no}: anneal time must be positive "
                                   f"and finite, got {row[0]!r}")
             path = row[1] if os.path.isabs(row[1]) else os.path.join(base, row[1])
-            points.append(sweep_point(t, read_params(path)))
+            try:
+                points.append(sweep_point(t, read_params(path)))
+            except AnalysisError as exc:  # an empty fit; the time was checked above
+                raise FormatError(f"{args.manifest}:{line_no}: params file has {exc}") from None
     if len({pt.anneal_time_us for pt in points}) < 2:
         raise FormatError("sweep needs >= 2 datasets with distinct anneal times")
     trend = fit_log_trend(points, args.parameter)

@@ -17,10 +17,10 @@ import math
 
 import numpy as np
 
-from .estimator import FitResult
-from .model import QubitParams
+from .estimator import ChipFit
+from .model import _check_params
 from .simulator import RawCounts
-from .topology import ChimeraSpec, site_of
+from .topology import ChimeraSpec, sites
 
 PARAMS_HEADER = [
     "qubit_id", "beta", "b", "eta", "gamma",
@@ -125,35 +125,36 @@ def write_raw(counts: RawCounts, path):
         fh.write(raw_to_bytes(counts))
 
 
-# converged is unknown (None) for tables without the column, e.g. truth files
-_CONVERGED_CELL = {True: "true", False: "false", None: ""}
-_CONVERGED_VALUE = {cell: value for value, cell in _CONVERGED_CELL.items()}
+# converged is unknown (code -1) for tables without the column, e.g. truth files
+_CONVERGED_CELL = {1: "true", 0: "false", -1: ""}
+_CONVERGED_CODE = {cell: code for code, cell in _CONVERGED_CELL.items()}
 
 
-def write_params(results: dict, spec: ChimeraSpec, path):
+def write_params(fit: ChipFit, spec: ChimeraSpec, path):
     """Write the fitted-parameter table, one row per qubit, sorted by id."""
+    rows = zip(
+        fit.ids.tolist(), fit.theta.tolist(), fit.log_likelihood.tolist(), fit.n_points.tolist(),
+        fit.total_samples.tolist(), fit.converged.tolist(),
+        *(a.tolist() for a in sites(fit.ids, spec)),
+    )
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(PARAMS_HEADER) + "\n")
-        for q in sorted(results):
-            r = results[q]
-            site = site_of(q, spec)
+        for q, theta, ll, n_points, total, converged, row, col, k, vertical in rows:
             cells = [
-                str(q),
-                repr(float(r.params.beta)), repr(float(r.params.b)),
-                repr(float(r.params.eta)), repr(float(r.params.gamma)),
-                repr(float(r.log_likelihood)), str(r.n_points), str(r.total_samples),
-                _CONVERGED_CELL[r.converged],
-                str(site.row), str(site.col), str(site.k), site.orientation,
+                str(q), *map(repr, theta), repr(ll), str(n_points), str(total),
+                _CONVERGED_CELL[converged], str(row), str(col), str(k),
+                "vertical" if vertical else "horizontal",
             ]
             fh.write(",".join(cells) + "\n")
 
 
-def read_params(path) -> dict:
-    """Read a parameter table back into qubit id -> FitResult.
+def read_params(path) -> ChipFit:
+    """Read a parameter table back into a ChipFit.
 
     Only the qubit_id..gamma prefix is required; missing diagnostic columns
     get neutral defaults, so plain four-parameter truth tables also load.  A
-    missing or empty ``converged`` cell reads as unknown (None).
+    missing or empty ``converged`` cell reads as unknown.  The table holds
+    no flags, so every row's flags read empty.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -161,7 +162,7 @@ def read_params(path) -> dict:
         required = PARAMS_HEADER[:5]
         if header is None or header[: len(required)] != required:
             _fail(path, 1, f"header must start with {','.join(required)}")
-        results = {}
+        rows, seen = [], set()
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
                 continue
@@ -170,27 +171,24 @@ def read_params(path) -> dict:
             row = dict(zip(header, cells))
             try:
                 q = int(row["qubit_id"])
-                params = QubitParams(
-                    float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])
-                )
+                theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
+                _check_params(*theta)
                 log_likelihood = float(row.get("log_likelihood") or "nan")
                 n_points = int(row.get("n_points") or 0)
                 total_samples = int(row.get("total_samples") or 0)
+                if max(abs(n_points), abs(total_samples)) > np.iinfo(np.int64).max:
+                    raise ValueError("n_points or total_samples past the int64 range")
             except ValueError as exc:
                 _fail(path, line_no, str(exc))
-            if q in results:
+            if q in seen:
                 _fail(path, line_no, f"duplicate qubit id {q}")
+            seen.add(q)
             converged = row.get("converged") or ""
-            if converged not in _CONVERGED_VALUE:
+            if converged not in _CONVERGED_CODE:
                 _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
-            results[q] = FitResult(
-                params=params,
-                log_likelihood=log_likelihood,
-                converged=_CONVERGED_VALUE[converged],
-                n_points=n_points,
-                total_samples=total_samples,
-            )
-    return results
+            rows.append((q, theta, log_likelihood, _CONVERGED_CODE[converged], n_points, total_samples))
+    ids, theta, ll, converged, n_points, total_samples = zip(*rows) if rows else ([],) * 6
+    return ChipFit(ids, theta, ll, converged, n_points, total_samples, np.zeros(len(ids), dtype=np.uint8))
 
 
 def write_report(report: dict, path):

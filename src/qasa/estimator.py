@@ -32,10 +32,16 @@ a single in-place pairwise halving, `_fieldsum`, which makes every other
 sum of the fitter too, so each runs in one fixed order.  Every operation
 acts on each qubit alone, so a fit does not depend on which qubits share
 its block, and a qubit that has converged is not evaluated again.
+
+`fit_chip` writes each block's results straight into the columns of one
+`ChipFit`, the only form a fitted chip takes on its way to the params
+table and the chip report; a per-qubit `FitResult` is built only when one
+row is looked up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -110,6 +116,84 @@ class FitResult:
     n_points: int
     total_samples: int
     flags: tuple = field(default=())
+
+
+# bit i of ChipFit.flags is FLAGS[i]
+FLAGS = ("low_eta", "at_bound", "fields_outside_unit")
+# ChipFit.converged codes
+_CONVERGED = {1: True, 0: False, -1: None}
+
+
+@dataclass(frozen=True, eq=False)
+class ChipFit(Mapping):
+    """A fitted chip as read-only columns, one row per qubit in ascending
+    id order: ids (Q,), theta (Q, 4) holding (beta, b, eta, gamma),
+    log_likelihood, converged (int8: 1 true, 0 false, -1 unknown),
+    n_points, total_samples, and flags (uint8, bit i set for FLAGS[i]).
+
+    It is also a read-only mapping of qubit id to FitResult; `fit[q]`
+    builds that row's FitResult when asked.  The arrays given are copied,
+    and the rows sorted by id.
+    """
+
+    ids: np.ndarray
+    theta: np.ndarray
+    log_likelihood: np.ndarray
+    converged: np.ndarray
+    n_points: np.ndarray
+    total_samples: np.ndarray
+    flags: np.ndarray
+
+    def __post_init__(self):
+        ids = np.array(self.ids, dtype=np.int64).reshape(-1)
+        order = np.argsort(ids, kind="stable")
+        if np.any(np.diff(ids[order]) == 0):
+            raise ValueError("duplicate qubit id in fit")
+        columns = {
+            "ids": ids,
+            "theta": np.array(self.theta, dtype=float).reshape(-1, 4),
+            "log_likelihood": np.array(self.log_likelihood, dtype=float),
+            "converged": np.array(self.converged, dtype=np.int8),
+            "n_points": np.array(self.n_points, dtype=np.int64),
+            "total_samples": np.array(self.total_samples, dtype=np.int64),
+            "flags": np.array(self.flags, dtype=np.uint8),
+        }
+        for name, a in columns.items():
+            if a.shape[:1] != ids.shape:
+                raise ValueError(f"fit column {name} has {a.shape[:1]} rows, expected {ids.size}")
+            a = a[order]
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def _row(self, qubit):
+        i = int(np.searchsorted(self.ids, qubit))
+        if i == self.ids.size or self.ids[i] != qubit:
+            raise KeyError(qubit)
+        return i
+
+    def __getitem__(self, qubit) -> FitResult:
+        i = self._row(qubit)
+        return FitResult(
+            QubitParams(*self.theta[i].tolist()),
+            float(self.log_likelihood[i]),
+            _CONVERGED[int(self.converged[i])],
+            int(self.n_points[i]),
+            int(self.total_samples[i]),
+            tuple(name for bit, name in enumerate(FLAGS) if self.flags[i] >> bit & 1),
+        )
+
+    def __contains__(self, qubit):  # without building a FitResult
+        try:
+            self._row(qubit)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self):
+        return self.ids.size
 
 
 def _check_qubit(counts: RawCounts, qubit: int):
@@ -333,48 +417,49 @@ def _check_fields(counts: RawCounts) -> int:
 def fit_chip(counts: RawCounts, workers: int = 1):
     """Maximum-likelihood parameters of every qubit, fitted independently.
 
-    Returns (results, failures): results maps qubit id -> FitResult, failures
-    maps qubit id -> error message for qubits that could not be fitted.
-    Needs at least 8 distinct fields covering both signs of h; with fewer
-    points the noise and transverse terms are not identifiable.
+    Returns (fit, failures): fit is the ChipFit of the fitted qubits,
+    failures maps qubit id -> error message for qubits that could not be
+    fitted.  Needs at least 8 distinct fields covering both signs of h; with
+    fewer points the noise and transverse terms are not identifiable.
 
     Qubits are fitted `_BLOCK` at a time in this process.  `workers` is
     accepted for compatibility and changes nothing: a result depends only
     on its own qubit's counts, so the output is identical for any value.
     """
     ids = counts.qubit_ids
+    empty = ChipFit(*[()] * 7)
     if not ids:
-        return {}, {}
+        return empty, {}
     try:
         n_points = _check_fields(counts)
     except FitError as exc:
-        return {}, {q: str(exc) for q in ids}
-    total_samples = int(counts.samples.sum())
-    outside = ("fields_outside_unit",) if np.any(np.abs(counts.h) > 1) else ()
+        return empty, {q: str(exc) for q in ids}
+    n = len(ids)
+    theta, ll, converged = np.empty((n, 4)), np.empty(n), np.empty(n, dtype=np.int8)
     m = counts.samples.astype(float)
     weights = m / m.sum()
-    results = {}
-    for start in range(0, len(ids), _BLOCK):
-        block = ids[start:start + _BLOCK]
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, start + _BLOCK)
         # field-major: each qubit is a column
-        means = np.ascontiguousarray(((m - 2.0 * counts._table[start:start + _BLOCK]) / m).T)
-        theta, ll, converged = _fit_block(counts.h, weights, means, counts.samples)
-        low_eta = theta[:, 2] < LOW_ETA
-        # eta/gamma sitting on their natural zero floor is ordinary, not a
-        # search-box artifact, so only the remaining edges are flagged
-        at_bound = (np.any(np.abs(theta - _BOX_HI) <= 1e-3, axis=1)
-                    | np.any(np.abs(theta[:, :2] - _BOX_LO[:2]) <= 1e-3, axis=1))
-        rows = zip(block, theta, ll.tolist(), converged.tolist(), low_eta.tolist(), at_bound.tolist())
-        for q, t, l, c, low, edge in rows:
-            flags = ("low_eta",) * low + ("at_bound",) * edge + outside
-            results[q] = FitResult(QubitParams(*t), l, c, n_points, total_samples, flags)
-    return results, {}
+        means = np.ascontiguousarray(((m - 2.0 * counts._table[rows]) / m).T)
+        theta[rows], ll[rows], converged[rows] = _fit_block(counts.h, weights, means, counts.samples)
+    low_eta = theta[:, 2] < LOW_ETA
+    # eta/gamma sitting on their natural zero floor is ordinary, not a
+    # search-box artifact, so only the remaining edges are flagged
+    at_bound = (np.any(np.abs(theta - _BOX_HI) <= 1e-3, axis=1)
+                | np.any(np.abs(theta[:, :2] - _BOX_LO[:2]) <= 1e-3, axis=1))
+    outside = np.full(n, np.any(np.abs(counts.h) > 1))
+    # one bit per name of FLAGS, in its order
+    flags = sum(mask.astype(np.uint8) << bit for bit, mask in enumerate((low_eta, at_bound, outside)))
+    fit = ChipFit(ids, theta, ll, converged, np.full(n, n_points),
+                  np.full(n, int(counts.samples.sum())), flags)
+    return fit, {}
 
 
 def fit_qubit(counts: RawCounts, qubit: int) -> FitResult:
     """Maximum-likelihood parameters of one qubit: `fit_chip` on its column."""
     _check_qubit(counts, qubit)
-    results, failures = fit_chip(RawCounts(counts.h, counts.samples, {qubit: counts.counts[qubit]}))
+    fit, failures = fit_chip(RawCounts(counts.h, counts.samples, {qubit: counts.counts[qubit]}))
     if failures:
         raise FitError(failures[qubit])
-    return results[qubit]
+    return fit[qubit]

@@ -53,18 +53,24 @@ class QubitParams:
     def __post_init__(self):
         for name in ("beta", "b", "eta", "gamma"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        vals = (self.beta, self.b, self.eta, self.gamma)
-        if not all(math.isfinite(v) for v in vals):
-            raise ParameterError(f"non-finite parameter in {vals}")
-        if self.beta <= 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if self.eta < 0:
-            raise ParameterError(f"eta must be nonnegative, got {self.eta}")
-        if self.gamma < 0:
-            raise ParameterError(f"gamma must be nonnegative, got {self.gamma}")
+        _check_params(self.beta, self.b, self.eta, self.gamma)
 
     def astuple(self):
         return (self.beta, self.b, self.eta, self.gamma)
+
+
+def _check_params(beta, b, eta, gamma):
+    """Raise ParameterError unless the floats (beta, b, eta, gamma) lie in
+    the model's domain."""
+    vals = (beta, b, eta, gamma)
+    if not all(math.isfinite(v) for v in vals):
+        raise ParameterError(f"non-finite parameter in {vals}")
+    if beta <= 0:
+        raise ParameterError(f"beta must be positive, got {beta}")
+    if eta < 0:
+        raise ParameterError(f"eta must be nonnegative, got {eta}")
+    if gamma < 0:
+        raise ParameterError(f"gamma must be nonnegative, got {gamma}")
 
 
 def _theta(p: QubitParams):
@@ -83,9 +89,10 @@ def _mixture(h, theta, halves=True, grad=False):
     (4, 1, Q) against h (F, 1) gives (F, Q), as the fitter uses.  Returns
     (om, op, T, dT): the mean spin T and its halves om = 1 - T and
     op = 1 + T, each of the broadcast shape S, and dT/dtheta stacked on a
-    leading axis, (4,) + S.  The halves are skipped unless `halves` is set
-    and dT unless `grad` is; a skipped part is None.  Every element is
-    computed by the same arithmetic in either layout.
+    leading axis, (4,) + S.  The halves are computed when `halves` is set
+    and T when it is not, as no caller of the halves reads T; dT is
+    computed when `grad` is set.  A skipped part is None.  Every element
+    is computed by the same arithmetic in either layout.
 
     Each noise sign s contributes c*tanh(beta*r)/(2r) to T, with
     c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
@@ -99,7 +106,7 @@ def _mixture(h, theta, halves=True, grad=False):
     h = np.asarray(h, dtype=float)
     beta, b, eta, gamma = theta
     x = gamma * h  # of the broadcast shape, as all four share theta's shape
-    T = np.zeros(x.shape)
+    T = None if halves else np.zeros(x.shape)
     om = np.zeros(x.shape) if halves else None
     op = np.zeros(x.shape) if halves else None
     dT = np.zeros((4,) + x.shape) if grad else None
@@ -110,7 +117,8 @@ def _mixture(h, theta, halves=True, grad=False):
         safe_r = np.where(tiny, 1.0, r)
         # tanh saturates, no overflow risk at large beta*r
         f = np.tanh(beta * safe_r)
-        T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
+        if not halves:
+            T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
         if not (halves or grad):
             continue
         e = np.exp(-2.0 * beta * safe_r)

@@ -8,7 +8,7 @@ higher beta and gamma than vertical ones.
 from __future__ import annotations
 
 from .model import QubitParams
-from .topology import ChimeraSpec, site_of
+from .topology import ChimeraSpec, sites
 
 MEDIAN = QubitParams(beta=10.54, b=0.0025, eta=0.0367, gamma=0.0176)
 HV_HORIZONTAL = QubitParams(beta=10.76, b=0.0025, eta=0.0367, gamma=0.0187)
@@ -22,8 +22,7 @@ def preset_truth(name: str, spec: ChimeraSpec) -> dict:
     if name == "median":
         return {q: MEDIAN for q in spec.operational}
     if name == "hv-split":
-        return {
-            q: HV_HORIZONTAL if site_of(q, spec).orientation == "horizontal" else HV_VERTICAL
-            for q in spec.operational
-        }
+        ids = sorted(spec.operational)
+        vertical = sites(ids, spec)[3].tolist()
+        return {q: HV_VERTICAL if v else HV_HORIZONTAL for q, v in zip(ids, vertical)}
     raise ValueError(f"unknown preset {name!r}, expected one of {PRESETS}")

@@ -3,12 +3,15 @@
 A Chimera chip is an n x n grid of unit cells with 8 qubits each, 4 oriented
 vertically and 4 horizontally.  Linear qubit ids follow
 id = 8*(n*row + col) + k with k in [0, 8).  Which half of k maps to which
-orientation varies between devices, so the convention is a flag.
+orientation varies between devices, so the convention is a flag.  `sites`
+decodes a whole array of ids at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class TopologyError(ValueError):
@@ -40,34 +43,17 @@ class ChimeraSpec:
         return 8 * self.grid * self.grid
 
 
-@dataclass(frozen=True)
-class QubitSite:
-    id: int
-    row: int
-    col: int
-    k: int
-    orientation: str  # "vertical" | "horizontal"
-
-
-def site_of(qubit_id: int, spec: ChimeraSpec) -> QubitSite:
-    """Decode a linear qubit id into cell coordinates and orientation."""
-    if not (0 <= qubit_id < spec.capacity):
-        raise TopologyError(f"qubit id {qubit_id} outside [0, {spec.capacity})")
-    cell, k = divmod(qubit_id, 8)
-    row, col = divmod(cell, spec.grid)
-    vertical = (k < 4) == spec.vertical_low_k
-    return QubitSite(qubit_id, row, col, k, "vertical" if vertical else "horizontal")
-
-
-def orientation_groups(spec: ChimeraSpec):
-    """Partition operational ids into (horizontal, vertical) sorted lists."""
-    horizontal, vertical = [], []
-    for q in sorted(spec.operational):
-        if site_of(q, spec).orientation == "horizontal":
-            horizontal.append(q)
-        else:
-            vertical.append(q)
-    return horizontal, vertical
+def sites(ids, spec: ChimeraSpec):
+    """Decode linear qubit ids into (row, col, k, vertical) arrays, one
+    entry per id: the cell coordinates, the index within the cell and
+    whether the qubit is vertical."""
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    bad = (ids < 0) | (ids >= spec.capacity)
+    if bad.any():
+        raise TopologyError(f"qubit ids outside [0, {spec.capacity}): {ids[bad][:10].tolist()}")
+    cell, k = np.divmod(ids, 8)
+    row, col = np.divmod(cell, spec.grid)
+    return row, col, k, (k < 4) == spec.vertical_low_k
 
 
 def heatmap_grid(values: dict, spec: ChimeraSpec):
@@ -80,21 +66,19 @@ def heatmap_grid(values: dict, spec: ChimeraSpec):
     unknown = set(values) - spec.operational
     if unknown:
         raise TopologyError(f"ids not operational on this chip: {sorted(unknown)[:10]}")
-    records = []
-    for q in range(spec.capacity):
-        site = site_of(q, spec)
-        records.append(
-            {
-                "id": q,
-                "row": site.row,
-                "col": site.col,
-                "k": site.k,
-                "orientation": site.orientation,
-                "present": q in spec.operational,
-                "value": values.get(q),
-            }
-        )
-    return records
+    row, col, k, vertical = (a.tolist() for a in sites(np.arange(spec.capacity), spec))
+    return [
+        {
+            "id": q,
+            "row": row[q],
+            "col": col[q],
+            "k": k[q],
+            "orientation": "vertical" if vertical[q] else "horizontal",
+            "present": q in spec.operational,
+            "value": values.get(q),
+        }
+        for q in range(spec.capacity)
+    ]
 
 
 def parse_chip(text: str) -> ChimeraSpec:

@@ -3,23 +3,29 @@ import pytest
 
 from qasa import QubitParams, build_report, fit_log_trend, orientation_split, summarize, sweep_point
 from qasa.analysis import AnalysisError, AnnealSweepPoint, spatial_report
-from qasa.estimator import FitResult
-from qasa.topology import ChimeraSpec
+from qasa.estimator import ChipFit
+from qasa.topology import ChimeraSpec, sites
 
 
-def fake_result(beta=10.54, b=0.0025, eta=0.0367, gamma=0.0176):
-    return FitResult(
-        params=QubitParams(beta, b, eta, gamma),
-        log_likelihood=0.0,
-        converged=True,
-        n_points=81,
-        total_samples=81 * 1000,
-    )
+def fake_params(beta=10.54, b=0.0025, eta=0.0367, gamma=0.0176):
+    return QubitParams(beta, b, eta, gamma).astuple()
+
+
+def fake_fit(params):
+    """ChipFit of {qubit id: (beta, b, eta, gamma)}: converged, likelihood
+    0, 81 fields of 1000 samples, no flags."""
+    n = len(params)
+    return ChipFit(list(params), list(params.values()), np.zeros(n), np.ones(n),
+                   np.full(n, 81), np.full(n, 81 * 1000), np.zeros(n))
+
+
+def is_horizontal(q, spec):
+    return not sites([q], spec)[3][0]
 
 
 class TestSummarize:
     def test_degenerate_chip(self):
-        results = {q: fake_result() for q in range(2032)}
+        results = fake_fit({q: fake_params() for q in range(2032)})
         s = summarize(results, "beta")
         assert s.median == 10.54
         assert s.std == pytest.approx(0.0, abs=1e-12)
@@ -27,16 +33,16 @@ class TestSummarize:
         assert sum(s.bin_counts) == 2032
 
     def test_midpoint_median(self):
-        results = {q: fake_result(beta=v) for q, v in enumerate([1.0, 2.0, 3.0])}
-        assert summarize(results, "beta").median == 2.0
-        results[3] = fake_result(beta=4.0)
-        assert summarize(results, "beta").median == 2.5
+        results = {q: fake_params(beta=v) for q, v in enumerate([1.0, 2.0, 3.0])}
+        assert summarize(fake_fit(results), "beta").median == 2.0
+        results[3] = fake_params(beta=4.0)
+        assert summarize(fake_fit(results), "beta").median == 2.5
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         vals = rng.normal(10.5, 0.5, 100)
-        a = summarize({q: fake_result(beta=v) for q, v in enumerate(vals)}, "beta")
-        b = summarize({99 - q: fake_result(beta=v) for q, v in enumerate(vals)}, "beta")
+        a = summarize(fake_fit({q: fake_params(beta=v) for q, v in enumerate(vals)}), "beta")
+        b = summarize(fake_fit({99 - q: fake_params(beta=v) for q, v in enumerate(vals)}), "beta")
         assert a.median == b.median
         assert a.mean == b.mean
 
@@ -45,66 +51,71 @@ class TestSummarize:
         hits = 0
         for _ in range(20):
             vals = np.abs(rng.normal(0.0367, 0.01, 2032))
-            results = {q: fake_result(eta=v) for q, v in enumerate(vals)}
+            results = fake_fit({q: fake_params(eta=v) for q, v in enumerate(vals)})
             hits += int(abs(summarize(results, "eta").median - 0.0367) <= 0.002)
         assert hits >= 19
 
     def test_outliers_beyond_3_iqr(self):
         vals = list(np.linspace(10, 11, 40)) + [50.0]
-        results = {q: fake_result(beta=v) for q, v in enumerate(vals)}
+        results = fake_fit({q: fake_params(beta=v) for q, v in enumerate(vals)})
         assert summarize(results, "beta").outlier_ids == (40,)
 
     def test_empty_and_unknown(self):
         with pytest.raises(AnalysisError):
-            summarize({}, "beta")
+            summarize(fake_fit({}), "beta")
         with pytest.raises(AnalysisError):
-            summarize({0: fake_result()}, "delta")
+            summarize(fake_fit({0: fake_params()}), "delta")
 
 
 class TestOrientationSplit:
     def test_identical_params(self):
         spec = ChimeraSpec(grid=2)
-        results = {q: fake_result() for q in spec.operational}
+        results = fake_fit({q: fake_params() for q in spec.operational})
         h_sum, v_sum = orientation_split(results, spec, "gamma")
         assert h_sum.median == v_sum.median == 0.0176
         assert h_sum.count == v_sum.count == 16
 
     def test_split_recovery(self):
-        from qasa.topology import site_of
-
         spec = ChimeraSpec(grid=4)
         rng = np.random.default_rng(2)
         results = {}
         for q in spec.operational:
-            target = 0.0187 if site_of(q, spec).orientation == "horizontal" else 0.0165
-            results[q] = fake_result(gamma=max(target + rng.normal(0, 0.002), 0.0))
-        h_sum, v_sum = orientation_split(results, spec, "gamma")
+            target = 0.0187 if is_horizontal(q, spec) else 0.0165
+            results[q] = fake_params(gamma=max(target + rng.normal(0, 0.002), 0.0))
+        h_sum, v_sum = orientation_split(fake_fit(results), spec, "gamma")
         assert abs(h_sum.median - 0.0187) <= 0.001
         assert abs(v_sum.median - 0.0165) <= 0.001
+
+    def test_empty_side_is_none(self):
+        spec = ChimeraSpec(grid=1)
+        results = fake_fit({q: fake_params(beta=10.0 + q) for q in (0, 1, 2, 3)})
+        h_sum, v_sum = orientation_split(results, spec, "beta")
+        assert h_sum is None
+        assert v_sum.count == 4
+        assert v_sum.median == summarize(results, "beta").median == 11.5
+        report = build_report(results, spec)
+        assert report["orientation_splits"]["beta"]["horizontal"] is None
+        assert report["orientation_splits"]["beta"]["vertical"] == v_sum.to_dict()
 
     def test_id_not_on_chip(self):
         spec = ChimeraSpec(grid=1)
         with pytest.raises(AnalysisError):
-            orientation_split({99: fake_result()}, spec, "beta")
+            orientation_split(fake_fit({99: fake_params()}), spec, "beta")
 
 
 class TestSpatialReport:
     def test_single_qubit(self):
         spec = ChimeraSpec(grid=1)
-        records = spatial_report({0: fake_result(beta=12.0)}, spec, "beta")
+        records = spatial_report(fake_fit({0: fake_params(beta=12.0)}), spec, "beta")
         assert records[0]["value"] == 12.0
         assert all(r["value"] is None for r in records[1:])
 
     def test_striped_truth_visible(self):
-        from qasa.topology import site_of
-
         spec = ChimeraSpec(grid=2)
-        results = {
-            q: fake_result(
-                gamma=0.03 if site_of(q, spec).orientation == "horizontal" else 0.01
-            )
+        results = fake_fit({
+            q: fake_params(gamma=0.03 if is_horizontal(q, spec) else 0.01)
             for q in spec.operational
-        }
+        })
         records = spatial_report(results, spec, "gamma")
         horiz = [r["value"] for r in records if r["orientation"] == "horizontal"]
         vert = [r["value"] for r in records if r["orientation"] == "vertical"]
@@ -113,7 +124,7 @@ class TestSpatialReport:
     def test_missing_qubits_marked(self):
         operational = frozenset(range(32)) - {3, 7}
         spec = ChimeraSpec(grid=2, operational=operational)
-        results = {q: fake_result() for q in operational}
+        results = fake_fit({q: fake_params() for q in operational})
         records = spatial_report(results, spec, "beta")
         assert [r["id"] for r in records if not r["present"]] == [3, 7]
 
@@ -171,15 +182,19 @@ class TestTrendFit:
 class TestReport:
     def test_full_report_shape(self):
         spec = ChimeraSpec(grid=2)
-        results = {q: fake_result() for q in spec.operational}
+        results = fake_fit({q: fake_params() for q in spec.operational})
         report = build_report(results, spec)
         assert report["schema_version"] == 1
         assert set(report["summaries"]) == {"beta", "b", "eta", "gamma"}
         assert set(report["orientation_splits"]["gamma"]) == {"horizontal", "vertical"}
         assert len(report["heatmaps"]["beta"]) == 32
 
+    def test_sweep_point_rejects_an_empty_fit(self):
+        with pytest.raises(AnalysisError, match="no fitted qubits"):
+            sweep_point(5.0, fake_fit({}))
+
     def test_sweep_point_aggregates(self):
-        results = {q: fake_result(beta=10.0 + q) for q in range(3)}
+        results = fake_fit({q: fake_params(beta=10.0 + q) for q in range(3)})
         pt = sweep_point(5.0, results)
         assert pt.means["beta"] == pytest.approx(11.0)
         assert pt.stds["beta"] == pytest.approx(np.std([10.0, 11.0, 12.0]))

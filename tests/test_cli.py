@@ -254,6 +254,18 @@ class TestAnalyze:
         ]) == EXIT_DATA
         assert "params.csv:2: expected 5 cells, got 4" in capsys.readouterr().err
 
+    def test_one_orientation_only(self, mini_run, tmp_path):
+        _, raw, _ = mini_run
+        params, out = tmp_path / "p.csv", tmp_path / "r.json"
+        assert run(["fit", "--in", str(raw), "--out", str(params), "--qubits", "0", "1", "2", "3"]) == EXIT_OK
+        assert run(["analyze", "--params", str(params), "--chip", "chimera:1", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        for p in ("beta", "b", "eta", "gamma"):
+            split = report["orientation_splits"][p]
+            assert split["horizontal"] is None
+            assert split["vertical"]["count"] == 4
+            assert split["vertical"]["median"] == report["summaries"][p]["median"]
+
     def test_params_topology_mismatch(self, mini_run, tmp_path):
         _, _, params = mini_run
         assert run([
@@ -309,6 +321,20 @@ class TestSweep:
     def test_sweep_point_rejects_time(self, bad):
         with pytest.raises(AnalysisError, match="positive and finite"):
             AnnealSweepPoint(bad, {}, {})
+
+    def test_header_only_params_file(self, tmp_path, capfd):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        (tmp_path / "p2.csv").write_text("qubit_id,beta,b,eta,gamma\n")
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n2,p2.csv\n")
+        out = tmp_path / "t.csv"
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out),
+        ]) == EXIT_DATA
+        assert not out.exists()
+        err = capfd.readouterr().err
+        assert "sets.csv:3: params file has no fitted qubits" in err
+        assert "Warning" not in err
 
     def test_needs_two_datasets(self, tmp_path):
         self.write_params_file(tmp_path / "p1.csv", 10.5)

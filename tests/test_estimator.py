@@ -411,11 +411,12 @@ class TestFieldMajorEvaluation:
         h = np.union1d(field_grid(), [-0.1875, -0.0625])  # h = -b -+ eta above
         qm = _mixture(h, theta.T[:, :, None], grad=True)
         fm = _mixture(h[:, None], theta.T[:, None, :], grad=True)
-        for a, b in zip(qm[:3], fm[:3]):  # om, op, T
+        for a, b in zip(qm[:2], fm[:2]):  # om, op
             assert _same_bits(a.T, b)
+        assert qm[2] is None and fm[2] is None  # T is not accumulated beside the halves
         assert _same_bits(qm[3].swapaxes(1, 2), fm[3])
         t_only = _mixture(h[:, None], theta.T[:, None, :], halves=False)
-        assert _same_bits(t_only[2], fm[2])
+        assert _same_bits(_mixture(h, theta.T[:, :, None], halves=False)[2].T, t_only[2])
         assert t_only[0] is None and t_only[3] is None
 
     def test_objective_matches_the_qubit_major_products(self):
@@ -454,3 +455,70 @@ class TestFieldMajorEvaluation:
         assert rows[0] == 12
         assert all(a >= b for a, b in zip(rows, rows[1:]))
         assert rows[-1] < 12
+
+
+class TestChipFit:
+    def make_fit(self, ids=(9, 2, 5)):
+        n = len(ids)
+        return estimator.ChipFit(
+            ids,
+            [(10.0 + q, q / 1000, 0.03, 0.02) for q in ids],
+            [-0.5 - q for q in ids],
+            [1, -1, 0][:n],
+            np.full(n, 81),
+            np.full(n, 81_000),
+            [7, 0, 2][:n],
+        )
+
+    def test_rows_read_as_fit_results(self):
+        fit = self.make_fit()
+        assert fit.ids.tolist() == [2, 5, 9] == list(fit)
+        assert len(fit) == 3
+        assert fit[9] == estimator.FitResult(
+            QubitParams(19.0, 0.009, 0.03, 0.02), -9.5, True, 81, 81_000,
+            ("low_eta", "at_bound", "fields_outside_unit"),
+        )
+        assert fit[2].converged is None and fit[2].flags == ()
+        assert fit[5].converged is False and fit[5].flags == ("at_bound",)
+        assert 5 in fit and 3 not in fit
+        with pytest.raises(KeyError):
+            fit[3]
+        assert self.make_fit(ids=()) == {}
+
+    def test_chip_fit_sets_every_flag_in_order(self):
+        d = SweepDesign(fields=field_grid(-1.5, 1.5, 0.025), samples_per_field=10**6, seed=3)
+        fit, _ = fit_chip(simulate_chip({0: QubitParams(100.0, 0, 0, 0)}, d))
+        assert fit.flags.tolist() == [7]
+        assert fit[0].flags == estimator.FLAGS == ("low_eta", "at_bound", "fields_outside_unit")
+
+    def test_columns_are_read_only_copies(self):
+        ids = np.array([4, 1])
+        fit = estimator.ChipFit(ids, np.ones((2, 4)), np.zeros(2), [1, 1], [8, 8], [80, 80], [0, 0])
+        ids[0] = 7
+        assert fit.ids.tolist() == [1, 4]
+        for name in ("ids", "theta", "log_likelihood", "converged", "n_points", "total_samples", "flags"):
+            column = getattr(fit, name)
+            assert column.shape[0] == 2 and not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        with pytest.raises(AttributeError):
+            fit.theta = np.zeros((2, 4))
+        with pytest.raises(ValueError):
+            estimator.ChipFit([1, 1], np.ones((2, 4)), np.zeros(2), [1, 1], [8, 8], [80, 80], [0, 0])
+
+    def test_pipeline_builds_no_fit_result(self, tmp_path):
+        from qasa import build_report, read_params, sweep_point, write_params, write_report
+        from qasa.topology import ChimeraSpec
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a FitResult was built")
+
+        spec = ChimeraSpec(grid=2, operational=frozenset(MIXED_CHIP.counts))
+        with mock.patch.object(estimator, "FitResult", refuse):
+            fit, failures = fit_chip(MIXED_CHIP)
+            write_params(fit, spec, tmp_path / "params.csv")
+            back = read_params(tmp_path / "params.csv")
+            write_report(build_report(back, spec), tmp_path / "report.json")
+            sweep_point(1.0, back)
+        assert not failures and len(back) == 12
+        assert back[11].params == fit[11].params

@@ -1,11 +1,20 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-from qasa import QubitParams, read_params, read_raw, write_params, write_raw, write_report
+from qasa import (
+    QubitParams,
+    SweepDesign,
+    field_grid,
+    fit_chip,
+    read_params,
+    read_raw,
+    simulate_chip,
+    write_params,
+    write_raw,
+    write_report,
+)
 from qasa.data_io import FormatError, format_field, raw_to_bytes
-from qasa.estimator import FitResult
+from qasa.estimator import ChipFit
 from qasa.simulator import RawCounts
 from qasa.topology import ChimeraSpec
 
@@ -132,17 +141,17 @@ class TestRawErrors:
 
 
 class TestParamsTable:
-    def make_results(self):
-        return {
-            q: FitResult(
-                params=QubitParams(10.5 + 0.01 * q, 0.002, 0.036, 0.017),
-                log_likelihood=-1.25,
-                converged=True,
-                n_points=81,
-                total_samples=81 * 1000,
-            )
-            for q in (0, 5, 17)
-        }
+    def make_results(self, converged=(1, 1, 1)):
+        ids = [0, 5, 17]
+        return ChipFit(
+            ids,
+            [QubitParams(10.5 + 0.01 * q, 0.002, 0.036, 0.017).astuple() for q in ids],
+            np.full(3, -1.25),
+            converged,
+            np.full(3, 81),
+            np.full(3, 81 * 1000),
+            np.zeros(3),
+        )
 
     def test_round_trip(self, tmp_path):
         spec = ChimeraSpec(grid=2)
@@ -155,6 +164,18 @@ class TestParamsTable:
             assert again[q].params == results[q].params
             assert again[q].log_likelihood == results[q].log_likelihood
             assert again[q].converged
+
+    def test_chip_fit_round_trips_column_by_column(self, tmp_path):
+        truth = {q: QubitParams(10.54 + 0.1 * q, 0.0025, 0.0367, 0.0176) for q in (3, 8, 12, 30)}
+        d = SweepDesign(fields=field_grid(), samples_per_field=100_000, seed=11)
+        fit, failures = fit_chip(simulate_chip(truth, d))
+        assert not failures and not fit.flags.any()  # the table holds no flags
+        path = tmp_path / "params.csv"
+        write_params(fit, ChimeraSpec(grid=2), path)
+        again = read_params(path)
+        for name in ("ids", "theta", "log_likelihood", "converged", "n_points", "total_samples", "flags"):
+            a, b = getattr(fit, name), getattr(again, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
     def test_header_prefix_and_layout_columns(self, tmp_path):
         spec = ChimeraSpec(grid=2)
@@ -175,9 +196,7 @@ class TestParamsTable:
     def test_converged_round_trips_unknown(self, tmp_path):
         spec = ChimeraSpec(grid=2)
         path = tmp_path / "params.csv"
-        results = self.make_results()
-        results[5] = dataclasses.replace(results[5], converged=None)
-        results[17] = dataclasses.replace(results[17], converged=False)
+        results = self.make_results(converged=(1, -1, 0))
         write_params(results, spec, path)
         assert path.read_text().splitlines()[2].split(",")[8] == ""
         again = read_params(path)
@@ -202,6 +221,7 @@ class TestParamsTable:
             ("qubit_id,beta,b,eta,gamma,log_likelihood", "1,10,0.0,0.03,0.01,abc"),
             ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,8x"),
             ("qubit_id,beta,b,eta,gamma,total_samples", "1,10,0.0,0.03,0.01,1.5"),
+            ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,9223372036854775808"),
         ],
     )
     def test_rejects_short_rows_and_bad_cells(self, tmp_path, header, row):
