@@ -36,7 +36,7 @@ from .data_io import (
     write_report,
 )
 from .estimator import FitError, empirical_estimates, fit_chip
-from .model import ParameterError
+from .model import ParameterError, QubitParams
 from .presets import PRESETS, preset_truth
 from .simulator import CoverageError, DesignError, RawCounts, SweepDesign, field_grid, simulate_chip
 from .topology import ChimeraSpec, TopologyError, parse_chip
@@ -69,7 +69,8 @@ def _write_manifest(out_path, command, flags, seed, started):
 def _load_truth(text, spec):
     if text.startswith("preset:"):
         return preset_truth(text[len("preset:"):], spec)
-    return {q: r.params for q, r in read_params(text).items()}
+    fit = read_params(text)
+    return {q: QubitParams(*theta) for q, theta in zip(fit.ids.tolist(), fit.theta.tolist())}
 
 
 def _infer_spec(ids, chip, convention):

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 
@@ -44,8 +45,25 @@ def _fail(path, line_no, msg):
     raise FormatError(f"{path}:{line_no}: {msg}")
 
 
+def _qubit_id(text: str) -> int:
+    """A qubit id cell: ASCII decimal digits only, where int() alone would
+    also take '1_0', ' 3', '+3' and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"bad qubit id {text!r}")
+    return int(text)
+
+
 def read_raw(path) -> RawCounts:
-    """Read a raw-counts CSV; duplicate-h rows are merged by summation."""
+    """Read a raw-counts CSV; duplicate-h rows are merged by summation.
+
+    The data rows are parsed in one `np.loadtxt` call and checked as a whole
+    table.  Every cell loadtxt reads, int() and float() read to the same
+    value (save cells past int()'s 4300-digit or csv's field-size limit,
+    which the row reader refuses), so a file loadtxt refuses, or that fails
+    a check, is read again row by row: that reader takes what loadtxt
+    refuses (``1_0``, quoted cells, non-ASCII digits) and names the first
+    bad cell.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -59,19 +77,59 @@ def read_raw(path) -> RawCounts:
             if not name.startswith("spin_"):
                 _fail(path, 1, f"column {j + 1} must be named spin_<id>, got {name!r}")
             try:
-                ids.append(int(name[5:]))
+                ids.append(_qubit_id(name[5:]))
             except ValueError:
                 _fail(path, 1, f"bad qubit id in column name {name!r}")
         if len(set(ids)) != len(ids):
             _fail(path, 1, "duplicate spin columns")
+        # a valid header holds no quoted line break, so fh is now at line 2
+        parsed = _parse_rows(fh, len(header))
+    h, table = parsed or _read_rows(path, ids, len(header))
 
+    # duplicate-h rows are summed; return_index makes the sort stable, so a
+    # merged h keeps the sign of its first row where -0 and 0 meet
+    h, _, row_of = np.unique(h, return_index=True, return_inverse=True)
+    merged = np.zeros((h.size, table.shape[1]), dtype=np.int64)
+    np.add.at(merged, row_of, table)
+    return RawCounts(h=h, samples=merged[:, 0], counts=dict(zip(ids, merged[:, 1:].T)))
+
+
+def _parse_rows(fh, n_cells):
+    """h and the (rows, samples + counts) int64 table of the data rows left
+    in `fh`, or None if a cell does not parse or a check fails."""
+    row = np.dtype([("h", float), ("cells", np.int64, (n_cells - 1,))])
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no data rows, and an older numpy
+            # warns where it reads '3.0' as an int
+            warnings.simplefilter("error")
+            data = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    h, table = data["h"], data["cells"]
+    samples = table[:, 0]
+    if not (np.isfinite(h).all() and (samples > 0).all() and (table >= 0).all()
+            and (table <= samples[:, None]).all()):
+        return None
+    # bounds every int64 sum, as no count exceeds its samples
+    if sum(samples.tolist()) > np.iinfo(np.int64).max:
+        return None
+    return h, table
+
+
+def _read_rows(path, ids, n_cells):
+    """The data rows read one at a time with int() and float(); the first
+    bad cell raises FormatError with its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         hs, rows = [], []  # rows: [samples, count per spin column]
-        total = 0  # bounds every int64 sum below, as no count exceeds its samples
+        total = 0  # bounds every int64 sum, as no count exceeds its samples
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                _fail(path, line_no, f"expected {len(header)} cells, got {len(row)}")
+            if len(row) != n_cells:
+                _fail(path, line_no, f"expected {n_cells} cells, got {len(row)}")
             try:
                 h = float(row[0])
                 samples = int(row[1])
@@ -99,13 +157,7 @@ def read_raw(path) -> RawCounts:
                         _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
             hs.append(h)
             rows.append(cells)
-
-    # duplicate-h rows are summed; return_index makes the sort stable, so a
-    # merged h keeps the sign of its first row where -0 and 0 meet
-    h, _, row_of = np.unique(hs, return_index=True, return_inverse=True)
-    table = np.zeros((h.size, len(header) - 1), dtype=np.int64)
-    np.add.at(table, row_of, np.array(rows, dtype=np.int64).reshape(len(rows), len(header) - 1))
-    return RawCounts(h=h, samples=table[:, 0], counts=dict(zip(ids, table[:, 1:].T)))
+    return np.array(hs, dtype=float), np.array(rows, dtype=np.int64).reshape(len(rows), n_cells - 1)
 
 
 def raw_to_bytes(counts: RawCounts) -> bytes:
@@ -170,7 +222,7 @@ def read_params(path) -> ChipFit:
                 _fail(path, line_no, f"expected {len(header)} cells, got {len(cells)}")
             row = dict(zip(header, cells))
             try:
-                q = int(row["qubit_id"])
+                q = _qubit_id(row["qubit_id"])
                 theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
                 _check_params(*theta)
                 log_likelihood = float(row.get("log_likelihood") or "nan")
@@ -192,7 +244,7 @@ def read_params(path) -> ChipFit:
 
 
 def write_report(report: dict, path):
-    """Write an analysis report as JSON with a stable key order."""
+    """Write an analysis report as one line of compact JSON with sorted keys;
+    with no indent, json uses its C encoder."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, sort_keys=True) + "\n")

@@ -1,9 +1,17 @@
+import csv
+import json
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qasa import (
     QubitParams,
     SweepDesign,
+    build_report,
     field_grid,
     fit_chip,
     read_params,
@@ -13,7 +21,7 @@ from qasa import (
     write_raw,
     write_report,
 )
-from qasa.data_io import FormatError, format_field, raw_to_bytes
+from qasa.data_io import FormatError, _parse_rows, _read_rows, format_field, raw_to_bytes
 from qasa.estimator import ChipFit
 from qasa.simulator import RawCounts
 from qasa.topology import ChimeraSpec
@@ -33,6 +41,25 @@ def random_counts(rng, n_fields=None, n_qubits=None, degenerate=False):
             c[-1] = samples[-1]
         counts[q] = c
     return RawCounts(h=h, samples=samples, counts=counts)
+
+
+@st.composite
+def raw_files(draw):
+    """(ids, text) of a well-formed raw CSV whose cells use spellings that
+    int() and float() take and loadtxt should too: duplicate h, -0 and 0,
+    space padding, a leading +, blank lines and CRLF."""
+    ids = draw(st.lists(st.integers(0, 2047), min_size=1, max_size=4, unique=True))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    h_cells = st.sampled_from(["0", "-0", "0.0", "-0.0", "0.5", "+0.5", ".5", "-0.025", "1e-3", "-1"])
+    pads = st.sampled_from(["", " "])
+    lines = ["h,samples," + ",".join(f"spin_{q}" for q in ids)]
+    for _ in range(draw(st.integers(1, 6))):
+        samples = draw(st.integers(1, 10**12))
+        numbers = [samples, *(draw(st.integers(0, samples)) for _ in ids)]
+        cells = [draw(h_cells), *(draw(st.sampled_from(["", "+"])) + str(v) for v in numbers)]
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(",".join(draw(pads) + cell + draw(pads) for cell in cells))
+    return ids, newline.join(lines) + newline
 
 
 class TestFormatField:
@@ -115,6 +142,54 @@ class TestRawRoundTrip:
         assert path.read_text() == "h,samples\n0,10\n"
 
 
+class TestRawParsers:
+    """read_raw parses the data rows in one np.loadtxt call and falls back
+    to the row-by-row reader when that fails; both must read alike."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(raw_files())
+    def test_table_parse_matches_row_reader(self, tmp_path, case):
+        ids, text = case
+        # a new file per example: truncating one is slow on some filesystems
+        fd, path = tempfile.mkstemp(suffix=".csv", dir=tmp_path)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode())
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            parsed = _parse_rows(fh, len(ids) + 2)
+        assert parsed is not None
+        (h, table), (h_rows, table_rows) = parsed, _read_rows(path, ids, len(ids) + 2)
+        assert np.array_equal(h, h_rows) and np.array_equal(np.signbit(h), np.signbit(h_rows))
+        assert table.dtype == table_rows.dtype and np.array_equal(table, table_rows)
+
+    @pytest.mark.parametrize(
+        "row,expected",
+        [
+            ("0.5,20,1_0", (0.5, 20, 10)),
+            ("1_0,20,3", (10.0, 20, 3)),
+            ("0.5,20,٣", (0.5, 20, 3)),
+            ("0.5,2٠,3", (0.5, 20, 3)),
+            ('0.5,20,"3"', (0.5, 20, 3)),
+            ('"0.5","20",3', (0.5, 20, 3)),
+        ],
+    )
+    def test_cells_only_the_row_reader_takes(self, tmp_path, row, expected):
+        path = tmp_path / "raw.csv"
+        path.write_text(f"h,samples,spin_4\n{row}\n")
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            assert _parse_rows(fh, 3) is None
+        counts = read_raw(path)
+        assert (counts.h[0], counts.samples[0], counts.counts[4][0]) == expected
+
+    @pytest.mark.parametrize("name", ["spin_1_0", "spin_ 3", "spin_٣٤", "spin_+3", "spin_-1", "spin_3 "])
+    def test_rejects_non_decimal_qubit_ids(self, tmp_path, name):
+        path = tmp_path / "raw.csv"
+        path.write_text(f"h,samples,{name}\n0.5,10,3\n")
+        with pytest.raises(FormatError, match=re.escape(f":1: bad qubit id in column name {name!r}")):
+            read_raw(path)
+
+
 class TestRawErrors:
     @pytest.mark.parametrize(
         "body,line",
@@ -127,6 +202,7 @@ class TestRawErrors:
             ("h,samples,spin_0\nxyz,100,5\n", 2),
             ("h,samples,spin_0\n0.0,100\n", 2),
             ("h,samples,spin_0\n0.0,100,5\n0.1,100,nope\n", 3),
+            ('h,samples,spin_0\n0.0,100,5\n0.1,100,"1,0"\n', 3),
             ("h,samples,spin_0\n0.0,100,5\nnan,100,5\n", 3),
             ("h,samples,spin_0\ninf,100,5\n", 2),
             ("h,samples,spin_0\n0.5,5000000000000000000,0\n0.5,5000000000000000000,0\n", 3),
@@ -232,6 +308,13 @@ class TestParamsTable:
             read_params(path)
         assert ":3:" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", ["1_0", " 3", "٣٤", "+3", "-1"])
+    def test_rejects_non_decimal_qubit_ids(self, tmp_path, cell):
+        path = tmp_path / "params.csv"
+        path.write_text(f"qubit_id,beta,b,eta,gamma\n0,10,0,0.1,0\n{cell},10,0,0.1,0\n")
+        with pytest.raises(FormatError, match=re.escape(f":3: bad qubit id {cell!r}")):
+            read_params(path)
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "params.csv"
         path.write_text("qubit_id,beta,b,eta,gamma\n\n0,10,0,0.1,0\n0,11,0,0.1,0\n")
@@ -257,6 +340,16 @@ class TestReportFile:
         write_report(report, a)
         write_report(dict(reversed(list(report.items()))), b)
         assert a.read_bytes() == b.read_bytes()
-        import json
-
         assert json.loads(a.read_text())["schema_version"] == 1
+
+    def test_chip_report_reads_back_equal(self, tmp_path):
+        ids = [q for q in range(32) if q != 5]  # a missing qubit gives null heatmap values
+        theta = [QubitParams(10.0 + 0.1 * q, 0.002, 0.03 + 0.001 * q, 0.017).astuple() for q in ids]
+        n = len(ids)
+        fit = ChipFit(ids, theta, np.full(n, -1.25), np.ones(n), np.full(n, 81), np.full(n, 81_000), np.zeros(n))
+        report = build_report(fit, ChimeraSpec(grid=2))
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        text = path.read_text()
+        assert json.loads(text) == report
+        assert text.endswith("}\n") and text.count("\n") == 1  # one line, one newline
