@@ -1,9 +1,10 @@
 """Command-line pipeline: simulate -> fit -> estimate/analyze -> sweep.
 
-Every command writes a ``<out>.manifest.json`` beside its output recording
-the resolved flags, seed, tool version, and wall-clock duration.  Exit
-codes: 0 success, 1 usage error, 2 data error, 3 fit failure under
-``--strict``.
+A command that returns writes a ``<out>.manifest.json`` beside its output
+recording the resolved flags, seed, tool version, and wall-clock duration.
+A data error (a bad input file, chip, field grid or truth id) prints one
+``qasa: <message>`` line and writes no manifest.  Exit codes: 0 success,
+1 usage error, 2 data error, 3 fit failure under ``--strict``.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .data_io import (
     write_raw,
     write_report,
 )
-from .estimator import FitError, empirical_estimates, fit_chip
-from .model import ParameterError, QubitParams
+from .estimator import empirical_estimates, fit_chip
+from .model import QubitParams
 from .presets import PRESETS, preset_truth
-from .simulator import CoverageError, DesignError, RawCounts, SweepDesign, field_grid, simulate_chip
-from .topology import ChimeraSpec, TopologyError, parse_chip
+from .simulator import RawCounts, SweepDesign, field_grid, simulate_chip
+from .topology import ChimeraSpec, parse_chip
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,15 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(out_path, command, flags, seed, started):
+def _write_manifest(args, started):
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
-        "command": command,
-        "flags": {k: v for k, v in flags.items() if k not in ("func", "command")},
-        "seed": seed,
+        "command": args.command,
+        "flags": flags,
+        "seed": flags.get("seed"),  # only simulate takes one
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 3),
     }
-    with open(str(out_path) + ".manifest.json", "w", newline="\n") as fh:
+    with open(str(args.out) + ".manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -70,7 +72,9 @@ def _load_truth(text, spec):
     if text.startswith("preset:"):
         return preset_truth(text[len("preset:"):], spec)
     fit = read_params(text)
-    return {q: QubitParams(*theta) for q, theta in zip(fit.ids.tolist(), fit.theta.tolist())}
+    ids = fit.ids.tolist()
+    ChimeraSpec(spec.grid, operational=ids)  # every id must sit on the chip
+    return {q: QubitParams(*theta) for q, theta in zip(ids, fit.theta.tolist())}
 
 
 def _infer_spec(ids, chip, convention):
@@ -86,19 +90,16 @@ def _infer_spec(ids, chip, convention):
     return ChimeraSpec(grid=n, operational=frozenset(ids), vertical_low_k=(convention == "vertical-low-k"))
 
 
-def cmd_simulate(args, started):
-    spec = parse_chip(args.chip)
-    truth = _load_truth(args.truth, spec)
+def cmd_simulate(args):
+    truth = _load_truth(args.truth, parse_chip(args.chip))
     fields = field_grid(args.h_min, args.h_max, args.h_step)
     design = SweepDesign(fields=fields, samples_per_field=args.samples, seed=args.seed)
-    operational = spec.operational if args.truth.startswith("preset:") else sorted(truth)
-    counts = simulate_chip(truth, design, operational=operational)
-    write_raw(counts, args.out)
-    _write_manifest(args.out, "simulate", vars(args), args.seed, started)
+    write_raw(simulate_chip(truth, design), args.out)
     return EXIT_OK
 
 
-def cmd_fit(args, started):
+def cmd_fit(args):
+    started = time.monotonic()
     counts = read_raw(args.infile)
     # layout columns come from the whole file, so a subset keeps its sites
     spec = _infer_spec(counts.qubit_ids, args.chip, args.orientation_convention)
@@ -110,7 +111,6 @@ def cmd_fit(args, started):
         counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
     fit, failures = fit_chip(counts, workers=args.workers)
     write_params(fit, spec, args.out)
-    _write_manifest(args.out, "fit", vars(args), None, started)
     flagged = np.count_nonzero(fit.flags)
     print(f"qasa fit: {len(fit)} fitted, {len(failures)} failed, {flagged} flagged "
           f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
@@ -122,7 +122,7 @@ def cmd_fit(args, started):
     return EXIT_OK
 
 
-def cmd_estimate(args, started):
+def cmd_estimate(args):
     counts = read_raw(args.infile)
     estimates = empirical_estimates(counts, args.qubit, args.confidence)
     with open(args.out, "w", newline="\n") as fh:
@@ -131,25 +131,17 @@ def cmd_estimate(args, started):
             fh.write(
                 f"{format_field(e.h)},{e.mean!r},{e.h_eff!r},{e.ci_low!r},{e.ci_high!r}\n"
             )
-    _write_manifest(args.out, "estimate", vars(args), None, started)
     return EXIT_OK
 
 
-def cmd_analyze(args, started):
+def cmd_analyze(args):
     fit = read_params(args.params)
-    spec = parse_chip(args.chip)
-    spec = ChimeraSpec(
-        grid=spec.grid,
-        operational=frozenset(fit.ids.tolist()),
-        vertical_low_k=(args.orientation_convention == "vertical-low-k"),
-    )
-    report = build_report(fit, spec, bins=args.bins)
-    write_report(report, args.out)
-    _write_manifest(args.out, "analyze", vars(args), None, started)
+    spec = _infer_spec(fit.ids.tolist(), args.chip, args.orientation_convention)
+    write_report(build_report(fit, spec, bins=args.bins), args.out)
     return EXIT_OK
 
 
-def cmd_sweep(args, started):
+def cmd_sweep(args):
     points = []
     with open(args.manifest, newline="") as fh:
         reader = csv.reader(fh)
@@ -174,8 +166,6 @@ def cmd_sweep(args, started):
                 points.append(sweep_point(t, read_params(path)))
             except AnalysisError as exc:  # an empty fit; the time was checked above
                 raise FormatError(f"{args.manifest}:{line_no}: params file has {exc}") from None
-    if len({pt.anneal_time_us for pt in points}) < 2:
-        raise FormatError("sweep needs >= 2 datasets with distinct anneal times")
     trend = fit_log_trend(points, args.parameter)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("anneal_time_us,mean,std\n")
@@ -184,7 +174,6 @@ def cmd_sweep(args, started):
         fh.write(f"trend_c0,{trend.c0!r}\n")
         fh.write(f"trend_c1,{trend.c1!r}\n")
         fh.write(f"trend_residual_rms,{trend.residual_rms!r}\n")
-    _write_manifest(args.out, "sweep", vars(args), None, started)
     return EXIT_OK
 
 
@@ -192,6 +181,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qasa", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    orientation = dict(choices=["vertical-low-k", "horizontal-low-k"], default="vertical-low-k",
+                       help="which intra-cell index half is vertical (default vertical-low-k)")
 
     p = sub.add_parser("simulate", help="generate synthetic raw counts for a chip")
     p.add_argument("--chip", required=True, help="chip spec, e.g. chimera:16")
@@ -215,9 +206,7 @@ def build_parser() -> _Parser:
                         "(default: the smallest Chimera grid that holds every id)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the output is identical for any value")
-    p.add_argument("--orientation-convention", choices=["vertical-low-k", "horizontal-low-k"],
-                   default="vertical-low-k",
-                   help="which intra-cell index half is vertical (default vertical-low-k)")
+    p.add_argument("--orientation-convention", **orientation)
     p.add_argument("--strict", action="store_true", help="exit 3 if any qubit fails to fit")
     p.set_defaults(func=cmd_fit)
 
@@ -234,9 +223,7 @@ def build_parser() -> _Parser:
     p.add_argument("--chip", required=True, help="chip spec, e.g. chimera:16")
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--bins", type=int, default=50, help="histogram bins (default 50)")
-    p.add_argument("--orientation-convention", choices=["vertical-low-k", "horizontal-low-k"],
-                   default="vertical-low-k",
-                   help="which intra-cell index half is vertical (default vertical-low-k)")
+    p.add_argument("--orientation-convention", **orientation)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="trend of a parameter across anneal-time datasets")
@@ -252,11 +239,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        return args.func(args, started)
-    except (FormatError, TopologyError, CoverageError, DesignError,
-            ParameterError, FitError, AnalysisError, ValueError, OSError) as exc:
+        code = args.func(args)
+        _write_manifest(args, started)
+    except (ValueError, OSError) as exc:
         print(f"qasa: {exc}", file=sys.stderr)
         return EXIT_DATA
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ depend on which other qubits are simulated with it, or in what order.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -55,6 +56,11 @@ class SweepDesign:
 
 def field_grid(h_min=-1.0, h_max=1.0, h_step=0.025):
     """Uniform inclusive grid, rounded to suppress accumulation error."""
+    for name, value in (("h_min", h_min), ("h_max", h_max)):
+        if not math.isfinite(value):
+            raise DesignError(f"{name} must be finite, got {value!r}")
+    if not (0 < h_step < math.inf):
+        raise DesignError(f"h_step must be positive and finite, got {h_step!r}")
     n = int(round((h_max - h_min) / h_step)) + 1
     return tuple(round(h_min + i * h_step, 12) for i in range(n))
 

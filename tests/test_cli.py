@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from qasa import __version__
 from qasa.analysis import AnalysisError, AnnealSweepPoint
 from qasa.cli import EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser, main
 from qasa.data_io import read_raw, write_raw
@@ -43,6 +44,47 @@ class TestHelp:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["simulate", "--chip", "chimera:1"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestManifest:
+    COMMANDS = ("simulate", "fit", "estimate", "analyze", "sweep")
+
+    def argv(self, command, raw, params, sets):
+        return [command, *{
+            "simulate": ["--chip", "chimera:1", "--truth", "preset:median", "--h-step", "0.5",
+                         "--samples", "1000", "--seed", "7"],
+            "fit": ["--in", str(raw)],
+            "estimate": ["--in", str(raw), "--qubit", "0"],
+            "analyze": ["--params", str(params), "--chip", "chimera:1"],
+            "sweep": ["--manifest", str(sets), "--parameter", "beta"],
+        }[command]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_writes_its_manifest(self, mini_run, tmp_path, command):
+        _, raw, params = mini_run
+        sets = tmp_path / "sets.csv"
+        sets.write_text(f"anneal_time_us,params_file\n1,{params}\n2,{params}\n")
+        argv = self.argv(command, raw, params, sets) + ["--out", str(tmp_path / "out")]
+        assert run(argv) == EXIT_OK
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        flags = vars(build_parser().parse_args(argv))
+        del flags["func"], flags["command"]
+        assert manifest.keys() == {"command", "flags", "seed", "tool_version", "duration_s"}
+        assert manifest["command"] == command
+        assert manifest["flags"] == flags
+        assert manifest["seed"] == (7 if command == "simulate" else None)
+        assert manifest["tool_version"] == __version__
+        assert manifest["duration_s"] >= 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_data_error_writes_no_manifest(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        argv = self.argv(command, missing, missing, missing) + ["--out", str(tmp_path / "out")]
+        if command == "simulate":
+            argv[argv.index("preset:median")] = str(missing)
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("qasa: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -89,6 +131,34 @@ class TestSimulate:
             "--samples", "1000", "--out", str(out),
         ]) == EXIT_OK  # truth CSV defines the operational set
         assert out.read_text().splitlines()[0] == "h,samples,spin_0"
+
+    def test_truth_file_ids_must_sit_on_the_chip(self, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("qubit_id,beta,b,eta,gamma\n0,10.5,0,0.03,0.02\n100,10.5,0,0.03,0.02\n")
+        out = tmp_path / "x.csv"
+        assert run([
+            "simulate", "--chip", "chimera:1", "--truth", str(truth),
+            "--samples", "1000", "--out", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == "qasa: qubit ids out of range [0, 8): [100]\n"
+        assert list(tmp_path.iterdir()) == [truth]
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--h-step", "0"), ("--h-step", "nan"), ("--h-max", "inf"), ("--h-min", "-inf"),
+    ])
+    def test_bad_field_grid_option(self, tmp_path, capsys, flag, value):
+        # unchecked, these end in ZeroDivisionError, OverflowError or a
+        # NaN-to-integer error instead of a data error
+        out = tmp_path / "x.csv"
+        assert run([
+            "simulate", "--chip", "chimera:1", "--truth", "preset:median",
+            "--samples", "1000", f"{flag}={value}", "--out", str(out),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        name = flag[2:].replace("-", "_")
+        assert err.startswith(f"qasa: {name} must be ") and err.endswith(f", got {float(value)!r}\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFit:
@@ -336,11 +406,12 @@ class TestSweep:
         assert "sets.csv:3: params file has no fitted qubits" in err
         assert "Warning" not in err
 
-    def test_needs_two_datasets(self, tmp_path):
+    def test_needs_two_datasets(self, tmp_path, capsys):
         self.write_params_file(tmp_path / "p1.csv", 10.5)
         manifest = tmp_path / "sets.csv"
-        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n")
-        assert run([
-            "sweep", "--manifest", str(manifest), "--parameter", "beta",
-            "--out", str(tmp_path / "t.csv"),
-        ]) == EXIT_DATA
+        out = tmp_path / "t.csv"
+        for rows in ("1,p1.csv\n", "1,p1.csv\n1.0,p1.csv\n"):
+            manifest.write_text("anneal_time_us,params_file\n" + rows)
+            assert run(["sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == "qasa: trend fit needs >= 2 distinct anneal times\n"
+            assert not out.exists()

@@ -34,6 +34,19 @@ class TestSweepDesign:
     def test_coarse_grid(self):
         assert field_grid(h_step=0.5) == (-1.0, -0.5, 0.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"h_step": 0.0}, "h_step must be positive and finite, got 0.0"),
+        ({"h_step": -0.5}, "h_step must be positive and finite, got -0.5"),
+        ({"h_step": float("nan")}, "h_step must be positive and finite, got nan"),
+        ({"h_step": float("inf")}, "h_step must be positive and finite, got inf"),
+        ({"h_min": float("-inf")}, "h_min must be finite, got -inf"),
+        ({"h_max": float("nan")}, "h_max must be finite, got nan"),
+    ])
+    def test_grid_rejects_non_finite_bounds_and_bad_steps(self, kwargs, message):
+        with pytest.raises(DesignError) as exc:
+            field_grid(**kwargs)
+        assert str(exc.value) == message
+
 
 class TestSampleCounts:
     def test_stream_layout_is_pinned(self):
