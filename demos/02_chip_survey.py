@@ -14,8 +14,8 @@ truth = preset_truth("hv-split", spec)
 
 design = SweepDesign(fields=field_grid(), samples_per_field=200_000, seed=1)
 counts = simulate_chip(truth, design)
-results, failures = fit_chip(counts)
-print(f"fitted {len(results)} qubits, {len(failures)} failures")
+results, _ = fit_chip(counts)
+print(f"fitted {len(results)} qubits")
 
 for name in ("beta", "b", "eta", "gamma"):
     s = summarize(results, name)

@@ -1,10 +1,10 @@
 """Command-line pipeline: simulate -> fit -> estimate/analyze -> sweep.
 
-A command that returns writes a ``<out>.manifest.json`` beside its output
+A command that succeeds writes a ``<out>.manifest.json`` beside its output
 recording the resolved flags, seed, tool version, and wall-clock duration.
-A data error (a bad input file, chip, field grid or truth id) prints one
-``qasa: <message>`` line and writes no manifest.  Exit codes: 0 success,
-1 usage error, 2 data error, 3 fit failure under ``--strict``.
+A data error (a bad input file, chip, field grid or truth id, or a sweep
+too small to fit) prints one ``qasa: <message>`` line and writes no
+manifest.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .data_io import (
     write_raw,
     write_report,
 )
-from .estimator import empirical_estimates, fit_chip
+from .estimator import CONFIDENCE, empirical_estimates, fit_chip
 from .model import QubitParams
 from .presets import PRESETS, preset_truth
 from .simulator import RawCounts, SweepDesign, field_grid, simulate_chip
@@ -45,7 +45,6 @@ from .topology import ChimeraSpec, parse_chip
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_FIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,16 +108,10 @@ def cmd_fit(args):
         if unknown:
             raise FormatError(f"qubits not in input: {sorted(unknown)}")
         counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
-    fit, failures = fit_chip(counts, workers=args.workers)
+    fit, _ = fit_chip(counts, workers=args.workers)
     write_params(fit, spec, args.out)
-    flagged = np.count_nonzero(fit.flags)
-    print(f"qasa fit: {len(fit)} fitted, {len(failures)} failed, {flagged} flagged "
+    print(f"qasa fit: {len(fit)} fitted, {np.count_nonzero(fit.flags)} flagged "
           f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
-    if failures:
-        for q, msg in sorted(failures.items()):
-            print(f"fit failed for qubit {q}: {msg}", file=sys.stderr)
-        if args.strict:
-            return EXIT_FIT
     return EXIT_OK
 
 
@@ -207,14 +200,13 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the output is identical for any value")
     p.add_argument("--orientation-convention", **orientation)
-    p.add_argument("--strict", action="store_true", help="exit 3 if any qubit fails to fit")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("estimate", help="empirical effective-field curve for one qubit")
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
     p.add_argument("--qubit", type=int, required=True, help="qubit id")
-    p.add_argument("--confidence", type=float, default=0.997,
-                   help="two-sided CI coverage (default 0.997)")
+    p.add_argument("--confidence", type=float, default=CONFIDENCE,
+                   help=f"two-sided CI coverage (default {CONFIDENCE})")
     p.add_argument("--out", required=True, help="output curve CSV path")
     p.set_defaults(func=cmd_estimate)
 

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -214,6 +215,10 @@ def read_params(path) -> ChipFit:
         required = PARAMS_HEADER[:5]
         if header is None or header[: len(required)] != required:
             _fail(path, 1, f"header must start with {','.join(required)}")
+        # a row dict would keep only the last cell of a repeated name
+        repeated = sorted(c for c, n in Counter(header).items() if n > 1)
+        if repeated:
+            _fail(path, 1, f"duplicate column {', '.join(repeated)}")
         rows, seen = [], set()
         for line_no, cells in enumerate(reader, start=2):
             if not cells:

@@ -26,6 +26,10 @@ class DesignError(ValueError):
     pass
 
 
+# Longest field grid `field_grid` builds; the paper's sweep has 81 fields.
+MAX_FIELDS = 100_000
+
+
 class CoverageError(ValueError):
     """Ground truth does not cover every operational qubit."""
 
@@ -61,7 +65,11 @@ def field_grid(h_min=-1.0, h_max=1.0, h_step=0.025):
             raise DesignError(f"{name} must be finite, got {value!r}")
     if not (0 < h_step < math.inf):
         raise DesignError(f"h_step must be positive and finite, got {h_step!r}")
-    n = int(round((h_max - h_min) / h_step)) + 1
+    # counted before anything is allocated; the ratio may overflow to inf
+    span = (h_max - h_min) / h_step
+    n = round(span) + 1 if span < MAX_FIELDS else span + 1
+    if n > MAX_FIELDS:
+        raise DesignError(f"field grid of {n:.6g} fields is longer than {MAX_FIELDS}")
     return tuple(round(h_min + i * h_step, 12) for i in range(n))
 
 
@@ -79,7 +87,8 @@ class RawCounts:
     is a row of one (qubit, field) int64 table, stored in that order, so a
     run of consecutive ids is a slice of it.  The table, h and samples are
     read-only copies, and counts is a read-only mapping, so a column can
-    only be set by building a new RawCounts, which checks it.
+    only be set by building a new RawCounts, which checks it.  Every field
+    has at least one sample.
     """
 
     h: np.ndarray
@@ -91,6 +100,10 @@ class RawCounts:
         if not np.all(np.isfinite(h)):
             raise ValueError("non-finite input field in h")
         samples = np.array(self.samples, dtype=np.int64)
+        if samples.shape != h.shape:
+            raise ValueError(f"samples has shape {samples.shape}, h has {h.shape}")
+        if np.any(samples < 1):
+            raise ValueError(f"samples must be >= 1 per field, got {samples.min()}")
         ids = list(self.counts)
         wrong = [q for q, c in self.counts.items() if np.shape(c) != h.shape]
         if wrong:

@@ -6,8 +6,9 @@ import pytest
 
 from qasa import __version__
 from qasa.analysis import AnalysisError, AnnealSweepPoint
-from qasa.cli import EXIT_DATA, EXIT_FIT, EXIT_OK, EXIT_USAGE, build_parser, main
+from qasa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from qasa.data_io import read_raw, write_raw
+from qasa.estimator import empirical_estimates
 from qasa.simulator import RawCounts
 
 
@@ -160,6 +161,25 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_field_grid_too_long(self, tmp_path, capsys):
+        # the grid is counted before it is built, so this returns at once
+        out = tmp_path / "x.csv"
+        assert run([
+            "simulate", "--chip", "chimera:1", "--truth", "preset:median",
+            "--samples", "1000", "--h-step=1e-12", "--out", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == "qasa: field grid of 2e+12 fields is longer than 100000\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_bound_in_exponent_form(self, tmp_path):
+        # argparse takes `--h-min -1e-3` for two options; the `=` form is one
+        out = tmp_path / "x.csv"
+        assert run([
+            "simulate", "--chip", "chimera:1", "--truth", "preset:median",
+            "--samples", "1000", "--h-min=-1e-3", "--h-max=1e-3", "--h-step=1e-3", "--out", str(out),
+        ]) == EXIT_OK
+        assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["h", "-0.001", "0", "0.001"]
+
 
 class TestFit:
     def test_params_written(self, mini_run):
@@ -228,19 +248,17 @@ class TestFit:
             "qubit_id,beta,b,eta,gamma,log_likelihood,n_points,total_samples,converged,"
             "row,col,k,orientation"
         ]
-        assert "qasa fit: 0 fitted, 0 failed, 0 flagged in " in capsys.readouterr().err
+        assert "qasa fit: 0 fitted, 0 flagged in " in capsys.readouterr().err
 
     def test_header_only_input(self, tmp_path, capsys):
+        # a sweep too small to fit is one data error, not one per qubit
         raw = tmp_path / "raw.csv"
         raw.write_text("h,samples,spin_0,spin_9\n")
         out = tmp_path / "out.csv"
-        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 1
-        err = capsys.readouterr().err
-        assert "qasa fit: 0 fitted, 2 failed, 0 flagged in " in err
-        for q in (0, 9):
-            assert f"fit failed for qubit {q}: need >= 8 distinct fields spanning " \
-                   f"h < 0 and h > 0, got 0\n" in err
+        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "qasa: need >= 8 distinct fields spanning h < 0 and h > 0, got 0\n"
+        assert list(tmp_path.iterdir()) == [raw]  # no params file, no manifest
 
     def test_worker_invariance(self, mini_run, tmp_path):
         _, raw, params = mini_run
@@ -248,12 +266,19 @@ class TestFit:
         assert run(["fit", "--in", str(raw), "--out", str(multi), "--workers", "4"]) == EXIT_OK
         assert multi.read_bytes() == params.read_bytes()
 
-    def test_strict_failure_exit(self, tmp_path):
+    def test_strict_failure_exit(self, tmp_path, capsys):
+        # --strict is gone: a sweep too small to fit exits 2 without it
         bad = tmp_path / "bad.csv"
         bad.write_text("h,samples,spin_0\n-0.5,100,90\n0.5,100,10\n")
         out = tmp_path / "out.csv"
-        assert run(["fit", "--in", str(bad), "--out", str(out), "--strict"]) == EXIT_FIT
-        assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--in", str(bad), "--out", str(out), "--strict"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "qasa: need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]\n"
+        assert list(tmp_path.iterdir()) == [bad]  # no params file, no manifest
 
     def test_summary_line(self, mini_run, tmp_path, capsys):
         # a dead qubit that always reads +1 fits at the box edge and is flagged
@@ -265,12 +290,14 @@ class TestFit:
         capsys.readouterr()
         assert run(["fit", "--in", str(dead), "--out", str(tmp_path / "p.csv")]) == EXIT_OK
         err = capsys.readouterr().err
-        assert re.fullmatch(r"qasa fit: 9 fitted, 0 failed, 1 flagged in \d+\.\d\d s\n", err)
+        assert re.fullmatch(r"qasa fit: 9 fitted, 1 flagged in \d+\.\d\d s\n", err)
 
+        # a sweep too small to fit prints its error and no summary line
         bad = tmp_path / "bad.csv"
         bad.write_text("h,samples,spin_0\n-0.5,100,90\n0.5,100,10\n")
-        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "q.csv")]) == EXIT_OK
-        assert "qasa fit: 0 fitted, 1 failed, 0 flagged in " in capsys.readouterr().err
+        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "q.csv")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("qasa: need >= 8 distinct fields ") and err.count("\n") == 1
 
     def test_non_finite_field_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -295,6 +322,10 @@ class TestEstimate:
         assert len(lines) == 82
         row0 = lines[1].split(",")
         assert float(row0[3]) <= float(row0[2]) <= float(row0[4])
+        # the command and the library share one default coverage
+        cells = [line.split(",") for line in lines[1:]]
+        for e, row in zip(empirical_estimates(read_raw(raw), 0), cells):
+            assert [float(c) for c in row[3:]] == [e.ci_low, e.ci_high]
 
     def test_unknown_qubit(self, mini_run, tmp_path):
         _, raw, _ = mini_run

@@ -275,11 +275,14 @@ class TestFitChip:
         assert results == {} and failures == {}
 
     def test_no_fields_fails_every_qubit(self):
+        # one error for the whole sweep, not one per qubit
         counts = RawCounts(h=np.array([]), samples=np.array([]), counts={0: [], 4: []})
-        results, failures = fit_chip(counts)
-        assert results == {}
-        assert failures == {q: "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
-                            for q in (0, 4)}
+        with pytest.raises(FitError) as chip:
+            fit_chip(counts)
+        with pytest.raises(FitError) as qubit:
+            fit_qubit(counts, 4)
+        assert str(chip.value) == str(qubit.value) == \
+            "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
 
     def test_fields_outside_unit_flag(self):
         wide = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=tuple(np.linspace(-2, 2, 17)))
@@ -355,8 +358,12 @@ class TestFitChip:
         )
         results, failures = fit_chip(counts)
         assert 0 in results and not failures
-        results, failures = fit_chip(few)
-        assert 1 in failures and not results
+        with pytest.raises(FitError) as chip:
+            fit_chip(few)
+        with pytest.raises(FitError) as qubit:
+            fit_qubit(few, 1)
+        assert str(chip.value) == str(qubit.value) == \
+            "need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]"
 
 
 def _rowsum_reference(x):

@@ -331,6 +331,11 @@ class TestParamsTable:
         with pytest.raises(FormatError) as exc:
             read_params(path)
         assert ":3:" in str(exc.value)
+        # a row dict would read beta from the last of the two columns
+        path.write_text("qubit_id,beta,b,eta,gamma,beta\n0,10,0.0,0.03,0.02,55\n")
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert str(exc.value) == f"{path}:1: duplicate column beta"
 
 
 class TestReportFile:

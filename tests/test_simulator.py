@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasa import QubitParams, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
-from qasa.simulator import CoverageError, DesignError, RawCounts
+from qasa.simulator import MAX_FIELDS, CoverageError, DesignError, RawCounts
 from qasa.topology import ChimeraSpec
 
 
@@ -46,6 +46,16 @@ class TestSweepDesign:
         with pytest.raises(DesignError) as exc:
             field_grid(**kwargs)
         assert str(exc.value) == message
+
+    def test_grid_length_is_capped(self):
+        # counted before anything is allocated, so a tiny step fails at once
+        assert len(field_grid(0.0, MAX_FIELDS - 1.0, 1.0)) == MAX_FIELDS
+        for kwargs, count in (({"h_min": 0.0, "h_max": float(MAX_FIELDS), "h_step": 1.0}, "100001"),
+                              ({"h_step": 1e-12}, "2e+12"),
+                              ({"h_min": -1e308, "h_max": 1e308, "h_step": 1e-300}, "inf")):
+            with pytest.raises(DesignError) as exc:
+                field_grid(**kwargs)
+            assert str(exc.value) == f"field grid of {count} fields is longer than {MAX_FIELDS}"
 
 
 class TestSampleCounts:
@@ -143,6 +153,18 @@ class TestSimulateChip:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 RawCounts(h=np.array([0.0, bad]), samples=np.array([10, 10]), counts={})
+
+    @pytest.mark.parametrize("samples, message", [
+        ([100], r"samples has shape \(1,\), h has \(9,\)"),
+        ([100] * 10, r"samples has shape \(10,\), h has \(9,\)"),
+        ([100] * 8 + [0], "samples must be >= 1 per field, got 0"),
+        ([100] * 8 + [-1], "samples must be >= 1 per field, got -1"),
+    ])
+    def test_raw_counts_need_one_sample_count_per_field(self, samples, message):
+        # a short samples array once passed, and fit_chip then weighted
+        # every field 1.0 and counted 100 samples in all
+        with pytest.raises(ValueError, match=message):
+            RawCounts(h=np.linspace(-1, 1, 9), samples=samples, counts={0: np.full(9, 50)})
 
     def test_raw_counts_errors_name_the_qubit(self):
         h, samples = np.array([0.0, 0.5]), np.array([10, 20])
