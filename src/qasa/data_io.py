@@ -20,7 +20,7 @@ from collections import Counter
 import numpy as np
 
 from .estimator import ChipFit
-from .model import _check_params
+from .model import ParameterError, _check_param_table, _check_params
 from .simulator import RawCounts
 from .topology import ChimeraSpec, sites
 
@@ -89,9 +89,12 @@ def read_raw(path) -> RawCounts:
 
     # duplicate-h rows are summed; return_index makes the sort stable, so a
     # merged h keeps the sign of its first row where -0 and 0 meet
-    h, _, row_of = np.unique(h, return_index=True, return_inverse=True)
-    merged = np.zeros((h.size, table.shape[1]), dtype=np.int64)
-    np.add.at(merged, row_of, table)
+    h, first, row_of = np.unique(h, return_index=True, return_inverse=True)
+    if h.size == row_of.size:  # no h repeats: the rows in h's order
+        merged = table[first]
+    else:
+        merged = np.zeros((h.size, table.shape[1]), dtype=np.int64)
+        np.add.at(merged, row_of, table)
     return RawCounts(h=h, samples=merged[:, 0], counts=dict(zip(ids, merged[:, 1:].T)))
 
 
@@ -208,10 +211,15 @@ def read_params(path) -> ChipFit:
     get neutral defaults, so plain four-parameter truth tables also load.  A
     missing or empty ``converged`` cell reads as unknown.  The table holds
     no flags, so every row's flags read empty.
+
+    As in `read_raw`, the data rows are parsed in one `np.loadtxt` call and
+    checked as a whole table, and a file that loadtxt refuses, or that
+    fails a check, is read again row by row, which names the first bad
+    cell.  On a table both take, both give the same columns (save cells
+    past csv's field-size limit, which only the row reader refuses).
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         required = PARAMS_HEADER[:5]
         if header is None or header[: len(required)] != required:
             _fail(path, 1, f"header must start with {','.join(required)}")
@@ -219,6 +227,73 @@ def read_params(path) -> ChipFit:
         repeated = sorted(c for c, n in Counter(header).items() if n > 1)
         if repeated:
             _fail(path, 1, f"duplicate column {', '.join(repeated)}")
+        parsed = _parse_params(fh.read(), header)
+    ids, theta, ll, converged, n_points, total_samples = parsed or _read_param_rows(path, header)
+    return ChipFit(ids, theta, ll, converged, n_points, total_samples, np.zeros(len(ids), dtype=np.uint8))
+
+
+# loadtxt's type for each column read_params reads; the id as bytes, in
+# which only ASCII digits are digits
+_PARAM_TYPES = {
+    "qubit_id": "S19", "beta": float, "b": float, "eta": float, "gamma": float,
+    "log_likelihood": float, "n_points": np.int64, "total_samples": np.int64,
+    "converged": "S6",  # one byte past the longest valid cell
+}
+
+
+def _parse_params(text, header):
+    """The columns (ids, theta, log_likelihood, converged, n_points,
+    total_samples) of the data rows in `text`, or None if a cell does not
+    parse or a check fails."""
+    # loadtxt reads a quoted cell with its quotes, and its commas as
+    # delimiters; a NUL ends a numpy string
+    if '"' in text or "\0" in text:
+        return None
+    # a column read_params ignores is read as one character, so that
+    # loadtxt still counts every row's cells
+    row = np.dtype([(f"c{j}", _PARAM_TYPES.get(name, "U1")) for j, name in enumerate(header)])
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a file with no data rows, and where it reads
+            # '3.0' as an int
+            warnings.simplefilter("error")
+            data = np.loadtxt(io.StringIO(text), dtype=row, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    col = {name: data[f"c{j}"] for j, name in enumerate(header)}
+    n = data.size
+    ids = col["qubit_id"]
+    # a cell that fills the field may have been cut short; 18 digits fit an int64
+    if not (np.char.isdigit(ids).all() and (np.char.str_len(ids) < 19).all()):
+        return None
+    ids = ids.astype(np.int64)
+    theta = np.column_stack([col[k] for k in PARAMS_HEADER[1:5]])
+    try:
+        _check_param_table(theta)
+    except ParameterError:
+        return None
+    ordered = np.sort(ids)
+    if (ordered[1:] == ordered[:-1]).any():
+        return None
+    n_points, total_samples = (col.get(k, np.zeros(n, dtype=np.int64)) for k in PARAMS_HEADER[6:8])
+    # the row reader refuses -2**63, whose magnitude is past the int64 range
+    if (np.minimum(n_points, total_samples) == np.iinfo(np.int64).min).any():
+        return None
+    cells = col.get("converged", np.zeros(n, dtype="S6"))
+    converged = np.full(n, 2, dtype=np.int8)  # 2 marks a cell of no code
+    for cell, code in _CONVERGED_CODE.items():
+        converged[cells == cell.encode()] = code
+    if (converged == 2).any():
+        return None
+    return ids, theta, col.get("log_likelihood", np.full(n, np.nan)), converged, n_points, total_samples
+
+
+def _read_param_rows(path, header):
+    """The columns of the data rows read one at a time; the first bad cell
+    raises FormatError with its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows, seen = [], set()
         for line_no, cells in enumerate(reader, start=2):
             if not cells:
@@ -244,8 +319,7 @@ def read_params(path) -> ChipFit:
             if converged not in _CONVERGED_CODE:
                 _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
             rows.append((q, theta, log_likelihood, _CONVERGED_CODE[converged], n_points, total_samples))
-    ids, theta, ll, converged, n_points, total_samples = zip(*rows) if rows else ([],) * 6
-    return ChipFit(ids, theta, ll, converged, n_points, total_samples, np.zeros(len(ids), dtype=np.uint8))
+    return zip(*rows) if rows else ([],) * 6
 
 
 def write_report(report: dict, path):

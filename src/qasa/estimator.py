@@ -29,9 +29,15 @@ fields by qubits, and `_mixture` returns every term in that layout, dT as
 (4, F, Q).  `_objective` writes the likelihood, 4 score and 10 distinct
 information terms into one (15, F, Q) buffer and sums it over fields with
 a single in-place pairwise halving, `_fieldsum`, which makes every other
-sum of the fitter too, so each runs in one fixed order.  Every operation
-acts on each qubit alone, so a fit does not depend on which qubits share
-its block, and a qubit that has converged is not evaluated again.
+sum of the fitter too, so each runs in one fixed order.  A qubit needs
+only about five evaluations, so their cost is the fit's cost, and it is
+set by memory traffic: the kernel writes each noise sign's intermediates
+into one reused set of arrays, and `_objective` builds the likelihood
+and the score weight in slots of its terms buffer that are written only
+later, each element by the same expression as a fresh array per
+operation would.  Every operation acts on each qubit alone, so a fit
+does not depend on which qubits share its block, and a qubit that has
+converged is not evaluated again.
 
 `fit_chip` writes each block's results straight into the columns of one
 `ChipFit`, the only form a fitted chip takes on its way to the params
@@ -281,14 +287,33 @@ def _objective(h, theta, means, weights):
     np.maximum(om, _TINY, out=om)
     np.maximum(op, _TINY, out=op)
     w = weights[:, None]
-    lo, hi = (1.0 - means) / 2.0, (1.0 + means) / 2.0
     terms = np.empty((15,) + om.shape)
+    # until the information terms are written, their slots serve as
+    # scratch: (1 -+ m)/2 in the last two and u, v before them; each other
+    # term is built by the expression beside its last line
+    lo = np.subtract(1.0, means, out=terms[14])
+    lo /= 2.0                                       # (1 - m)/2
+    hi = np.add(1.0, means, out=terms[13])
+    hi /= 2.0                                       # (1 + m)/2
+    u, v = terms[12], terms[11]
     # log((om + op)/2) is zero but for rounding; it makes L exactly zero
     # wherever T is exactly zero
-    terms[0] = w * (hi * np.log(op) + lo * np.log(om) - np.log((om + op) / 2.0))
+    np.log(op, out=u)
+    u *= hi
+    np.log(om, out=v)
+    v *= lo
+    u += v
+    np.add(om, op, out=v)
+    v /= 2.0
+    u -= np.log(v, out=v)
+    np.multiply(w, u, out=terms[0])                 # w*(hi*log(op) + lo*log(om) - log((om + op)/2))
     # dL/dT = (m - T)/(1 - T^2), written so as not to cancel near |T| = 1
-    np.multiply(dT, w * (hi / op - lo / om), out=terms[1:5])
-    v = w / (om * op)
+    np.divide(hi, op, out=u)
+    u -= np.divide(lo, om, out=v)
+    u *= w                                          # w*(hi/op - lo/om)
+    np.multiply(dT, u, out=terms[1:5])
+    v = np.multiply(om, op)
+    np.divide(w, v, out=v)                          # w/(om*op)
     k = 5
     for i in range(4):
         row = terms[k:k + 4 - i]
@@ -389,9 +414,12 @@ def _fit_block(h, weights, means, samples):
         trial = np.clip(trial, _BOX_LO, _BOX_HI)
         t_ll, t_score, t_info = _objective(h, trial, means[:, live], weights)
         gain = t_ll - ll[live]
-        # judged on the same active set, as the decrement jumps where it changes
-        shrinks = _newton(trial, t_score, t_info, fixed)[4] < decrement
-        accept = np.where(fine, shrinks & (gain >= -_LL_SLACK), gain > 0)
+        accept = gain > 0
+        if fine.any():
+            # a fine step must shrink the decrement, judged on the same
+            # active set, as the decrement jumps where it changes
+            shrinks = _newton(trial[fine], t_score[fine], t_info[fine], fixed[fine])[4] < decrement[fine]
+            accept[fine] = shrinks & (gain[fine] >= -_LL_SLACK)
         moved = live[accept]
         theta[moved] = trial[accept]
         ll[moved] = t_ll[accept]
@@ -420,16 +448,17 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     failures is always empty; it stays only because the benchmark harness
     unpacks the pair.  Needs at least 8 distinct fields covering both signs
     of h, and raises FitError for the whole sweep otherwise: with fewer
-    points the noise and transverse terms are not identifiable.
+    points the noise and transverse terms are not identifiable.  A sweep
+    with enough fields but no qubits raises FitError too.
 
     Qubits are fitted `_BLOCK` at a time in this process.  `workers` is
     accepted for compatibility and changes nothing: a result depends only
     on its own qubit's counts, so the output is identical for any value.
     """
+    n_points = _check_fields(counts)
     ids = counts.qubit_ids
     if not ids:
-        return ChipFit(*[()] * 7), {}
-    n_points = _check_fields(counts)
+        raise FitError("no qubits to fit")
     n = len(ids)
     theta, ll, converged = np.empty((n, 4)), np.empty(n), np.empty(n, dtype=np.int8)
     m = counts.samples.astype(float)

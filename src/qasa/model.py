@@ -61,7 +61,7 @@ class QubitParams:
 
 def _check_params(beta, b, eta, gamma):
     """Raise ParameterError unless the floats (beta, b, eta, gamma) lie in
-    the model's domain."""
+    the model's domain, a box, as `_check_param_table` relies on."""
     vals = (beta, b, eta, gamma)
     if not all(math.isfinite(v) for v in vals):
         raise ParameterError(f"non-finite parameter in {vals}")
@@ -71,6 +71,17 @@ def _check_params(beta, b, eta, gamma):
         raise ParameterError(f"eta must be nonnegative, got {eta}")
     if gamma < 0:
         raise ParameterError(f"gamma must be nonnegative, got {gamma}")
+
+
+def _check_param_table(theta):
+    """Raise ParameterError unless every row (beta, b, eta, gamma) of the
+    (Q, 4) array theta lies in the model's domain.  The domain is a box, so
+    that holds iff the column-wise least and greatest values lie in it; a
+    NaN in a column makes both NaN.  A rule that is not a box needs a
+    row-wise check here."""
+    if len(theta):
+        for corner in (theta.min(axis=0), theta.max(axis=0)):
+            _check_params(*corner.tolist())
 
 
 def _theta(p: QubitParams):
@@ -98,53 +109,124 @@ def _mixture(h, theta, halves=True, grad=False):
     c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
     once tanh saturates (beta*r beyond ~19), so om and op are assembled
     from exact conjugate pairs: per sign, 1/2 -+ c*tanh(beta*r)/(2r) =
-    (rm + c*eps)/(2r) resp. (rp - c*eps)/(2r), with rm = r - c and
-    rp = r + c taken through (gamma*h)^2/(r +- c) on the cancelling side
-    and eps = 1 - tanh(beta*r) = 2*exp(-2*beta*r)/(1 + exp(-2*beta*r)).
-    Small-r factors use their analytic limits.
+    (rm + c*eps)/(2r) resp. (rp - c*eps)/(2r), with rm = r - c,
+    rp = r + c and eps = 1 - tanh(beta*r) =
+    2*exp(-2*beta*r)/(1 + exp(-2*beta*r)).  Of rm and rp, the one that
+    cancels is taken as (gamma*h)^2/(r + |c|) and the other is r + |c|.
+    Where r < _R_EPS the factors are replaced by their analytic limits.
+
+    The kernel is bound by memory traffic, not arithmetic: a block of the
+    fitter is 81 x 256 doubles, and a fresh temporary per operation would
+    keep dozens of them live, far more than a core's cache holds.  So the
+    terms shared by both signs (gamma*h, its square and h + b) are made
+    once, each sign's intermediates are written with `out=` into one fixed
+    set of scratch arrays that the second sign reuses, and only the
+    outputs are new.  The scratch arrays are separate and made only for
+    the parts asked for, so the simulator's T-only call on a whole chip
+    makes five.  Each element is still computed by the expression, and
+    in the order, written beside its line.
     """
     h = np.asarray(h, dtype=float)
     beta, b, eta, gamma = theta
     x = gamma * h  # of the broadcast shape, as all four share theta's shape
-    T = None if halves else np.zeros(x.shape)
-    om = np.zeros(x.shape) if halves else None
-    op = np.zeros(x.shape) if halves else None
-    dT = np.zeros((4,) + x.shape) if grad else None
+    shape = x.shape
+    hb = h + b
+    T = None if halves else np.zeros(shape)
+    om = np.zeros(shape) if halves else None
+    op = np.zeros(shape) if halves else None
+    dT = np.zeros((4,) + shape) if grad else None
+    # per-sign scratch, reused by the second sign
+    c, r, two_r, t = (np.empty(shape) for _ in range(4))
+    tiny = np.empty(shape, dtype=bool)
+    f = np.empty(shape) if grad or not halves else None
+    if halves or grad:
+        m2beta = -2.0 * beta
+        eps, u, v, w = (np.empty(shape) for _ in range(4))
+    if halves:
+        xx = x * x
+        side = np.empty(shape, dtype=bool)
     for s in (+1.0, -1.0):
-        c = h + b + s * eta
-        r = np.hypot(x, c)
-        tiny = r < _R_EPS
-        safe_r = np.where(tiny, 1.0, r)
-        # tanh saturates, no overflow risk at large beta*r
-        f = np.tanh(beta * safe_r)
+        np.add(hb, s * eta, out=c)                  # c = h + b + s*eta
+        np.hypot(x, c, out=r)                       # r = hypot(x, c)
+        np.less(r, _R_EPS, out=tiny)
+        some = tiny.any()
+        if some:
+            r[tiny] = 1.0                           # r is safe_r from here on
+        np.multiply(r, 2.0, out=two_r)              # 2r
+        if f is not None:
+            # tanh saturates, no overflow risk at large beta*r
+            np.tanh(np.multiply(beta, r, out=f), out=f)
         if not halves:
-            T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
+            np.multiply(c, f, out=t)
+            t /= two_r                              # c*f/(2r)
+            if some:
+                t[tiny] = (c * beta / 2.0)[tiny]
+            T += t
         if not (halves or grad):
             continue
-        e = np.exp(-2.0 * beta * safe_r)
-        eps = 2.0 * e / (1.0 + e)
+        np.exp(np.multiply(m2beta, r, out=eps), out=eps)  # e = exp(-2*beta*r)
+        np.add(eps, 1.0, out=u)
+        eps *= 2.0
+        eps /= u                                    # eps = 2*e/(1 + e)
         if halves:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                rm = np.where(c > 0, x * x / (safe_r + c), r - c)
-                rp = np.where(c < 0, x * x / (safe_r - c), r + c)
-            om += np.where(tiny, 0.5 - c * beta / 2.0, (rm + c * eps) / (2.0 * safe_r))
-            op += np.where(tiny, 0.5 + c * beta / 2.0, (rp - c * eps) / (2.0 * safe_r))
+            np.abs(c, out=u)
+            u += r                                  # far = r + |c|
+            np.divide(xx, u, out=w)                 # near = x*x/(r + |c|)
+            np.multiply(c, eps, out=v)              # c*eps
+            # rm is near where c > 0 and far elsewhere
+            np.add(u, v, out=t)
+            np.add(w, v, out=t, where=np.greater(c, 0.0, out=side))
+            t /= two_r                              # (rm + c*eps)/(2r)
+            if some:
+                t[tiny] = (0.5 - c * beta / 2.0)[tiny]
+            om += t
+            # rp is near where c < 0 and far elsewhere
+            np.subtract(u, v, out=t)
+            np.subtract(w, v, out=t, where=np.less(c, 0.0, out=side))
+            t /= two_r                              # (rp - c*eps)/(2r)
+            if some:
+                t[tiny] = (0.5 + c * beta / 2.0)[tiny]
+            op += t
         if grad:
             # sech^2 = (1 - f)(1 + f), kept accurate where f rounds to 1
-            sech2 = eps * (2.0 - eps)
+            np.subtract(2.0, eps, out=v)
+            v *= eps                                # sech2 = eps*(2 - eps)
+            np.multiply(c, v, out=t)
+            t /= 2.0                                # c*sech2/2
+            if some:
+                t[tiny] = (c / 2.0)[tiny]
+            dT[0] += t                              # d/dbeta
+            v *= beta                               # beta*sech2
             # d(c*A(r))/dc with A = tanh(beta*r)/(2r), as two nonnegative
             # terms: A + (c^2/r) dA/dr cancels once gamma*h << c
-            d_dc = np.where(
-                tiny,
-                beta / 2.0,
-                f * x * x / (2.0 * safe_r**3) + beta * sech2 * c * c / (2.0 * safe_r**2),
-            )
+            np.multiply(f, x, out=t)
+            t *= x
+            np.power(r, 3, out=w)
+            w *= 2.0
+            t /= w                                  # f*x*x/(2*r**3)
+            np.square(r, out=w)
+            w *= 2.0                                # 2*r**2
+            np.multiply(v, c, out=u)
+            u *= c
+            u /= w                                  # beta*sech2*c*c/(2*r**2)
+            t += u                                  # d_dc
+            if some:
+                t[tiny] = np.broadcast_to(beta / 2.0, shape)[tiny]
             # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
-            B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
-            dT[0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)  # d/dbeta
-            dT[1] += d_dc                                       # d/db
-            dT[2] += s * d_dc                                   # d/deta
-            dT[3] += (c * x * h / safe_r) * B                   # d/dgamma
+            v /= two_r
+            np.divide(f, w, out=u)
+            v -= u                                  # B = beta*sech2/(2r) - f/(2*r**2)
+            if some:
+                v[tiny] = 0.0
+            dT[1] += t                              # d/db
+            if s < 0:
+                t *= s
+            dT[2] += t                              # d/deta: s*d_dc
+            np.multiply(c, x, out=u)
+            u *= h
+            u /= r
+            u *= v
+            dT[3] += u                              # d/dgamma: (c*x*h/r)*B
     return om, op, T, dT
 
 

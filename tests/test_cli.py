@@ -240,15 +240,18 @@ class TestFit:
         assert not out.exists()
 
     def test_no_spin_columns(self, tmp_path, capsys):
+        # the fields are checked first, then a sweep with no qubits is a
+        # data error too; neither writes a params file or a manifest
         raw = tmp_path / "raw.csv"
-        raw.write_text("h,samples\n-0.5,100\n0.5,100\n")
         out = tmp_path / "out.csv"
-        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_OK
-        assert out.read_text().splitlines() == [
-            "qubit_id,beta,b,eta,gamma,log_likelihood,n_points,total_samples,converged,"
-            "row,col,k,orientation"
-        ]
-        assert "qasa fit: 0 fitted, 0 flagged in " in capsys.readouterr().err
+        raw.write_text("h,samples\n-0.5,100\n0.5,100\n")
+        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "qasa: need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]\n"
+        raw.write_text("h,samples\n" + "".join(f"{h},100\n" for h in np.linspace(-1, 1, 9)))
+        assert run(["fit", "--in", str(raw), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == "qasa: no qubits to fit\n"
+        assert list(tmp_path.iterdir()) == [raw]
 
     def test_header_only_input(self, tmp_path, capsys):
         # a sweep too small to fit is one data error, not one per qubit

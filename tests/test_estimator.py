@@ -18,7 +18,7 @@ from qasa import (
 )
 from qasa import estimator
 from qasa.estimator import FitError, log_likelihood_grad
-from qasa.model import _mixture
+from qasa.model import _R_EPS, _mixture
 from qasa.simulator import RawCounts
 
 FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
@@ -270,9 +270,14 @@ class TestFitChip:
         assert all(r.converged for r in results.values())
 
     def test_empty_input(self):
+        # the fields are checked before the qubits, and no qubits is an error
         counts = RawCounts(h=np.array([0.0]), samples=np.array([10]), counts={})
-        results, failures = fit_chip(counts)
-        assert results == {} and failures == {}
+        with pytest.raises(FitError, match=r"^need >= 8 distinct fields .*, got 1 in \[0\.0, 0\.0\]$"):
+            fit_chip(counts)
+        h = np.linspace(-1, 1, 9)
+        counts = RawCounts(h=h, samples=np.full(9, 10), counts={})
+        with pytest.raises(FitError, match=r"^no qubits to fit$"):
+            fit_chip(counts)
 
     def test_no_fields_fails_every_qubit(self):
         # one error for the whole sweep, not one per qubit
@@ -366,6 +371,51 @@ class TestFitChip:
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]"
 
 
+def _mixture_reference(h, theta, halves=True, grad=False):
+    """The mixture kernel as it was written before it reused its buffers,
+    expression for expression: a fresh array per operation and every
+    r < _R_EPS limit taken by np.where.  `_mixture` must give the same
+    bits."""
+    h = np.asarray(h, dtype=float)
+    beta, b, eta, gamma = theta
+    x = gamma * h
+    T = None if halves else np.zeros(x.shape)
+    om = np.zeros(x.shape) if halves else None
+    op = np.zeros(x.shape) if halves else None
+    dT = np.zeros((4,) + x.shape) if grad else None
+    for s in (+1.0, -1.0):
+        c = h + b + s * eta
+        r = np.hypot(x, c)
+        tiny = r < _R_EPS
+        safe_r = np.where(tiny, 1.0, r)
+        f = np.tanh(beta * safe_r)
+        if not halves:
+            T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
+        if not (halves or grad):
+            continue
+        e = np.exp(-2.0 * beta * safe_r)
+        eps = 2.0 * e / (1.0 + e)
+        if halves:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rm = np.where(c > 0, x * x / (safe_r + c), r - c)
+                rp = np.where(c < 0, x * x / (safe_r - c), r + c)
+            om += np.where(tiny, 0.5 - c * beta / 2.0, (rm + c * eps) / (2.0 * safe_r))
+            op += np.where(tiny, 0.5 + c * beta / 2.0, (rp - c * eps) / (2.0 * safe_r))
+        if grad:
+            sech2 = eps * (2.0 - eps)
+            d_dc = np.where(
+                tiny,
+                beta / 2.0,
+                f * x * x / (2.0 * safe_r**3) + beta * sech2 * c * c / (2.0 * safe_r**2),
+            )
+            B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
+            dT[0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)
+            dT[1] += d_dc
+            dT[2] += s * d_dc
+            dT[3] += (c * x * h / safe_r) * B
+    return om, op, T, dT
+
+
 def _rowsum_reference(x):
     """The fitter's earlier fixed-order sum over the last axis, by pairwise
     halving with a concatenation at every step; `_fieldsum` must add the
@@ -425,6 +475,28 @@ class TestFieldMajorEvaluation:
         t_only = _mixture(h[:, None], theta.T[:, None, :], halves=False)
         assert _same_bits(_mixture(h, theta.T[:, :, None], halves=False)[2].T, t_only[2])
         assert t_only[0] is None and t_only[3] is None
+
+    @pytest.mark.parametrize("halves", [True, False])
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_mixture_matches_the_reference_bit_for_bit(self, halves, grad):
+        # the last row has c = 0 but gamma*h != 0 at h = 0.125, where
+        # (gamma*h)^2/r rounds away from r, so only r + |c| is right for
+        # either half
+        theta = np.vstack([self._thetas(), [3.0, -0.0625, 0.0625, 0.2]])
+        # r = 0 at h = -b -+ eta of the gamma = 0 rows and at h = 0 of the
+        # saturated one, and fields far outside [-1, 1]
+        h = np.union1d(field_grid(), [-0.1875, -0.0625, -1e5, -1e3, 1e3])
+        for hh, th in ((h, theta.T[:, :, None]), (h[:, None], theta.T[:, None, :])):
+            got, ref = _mixture(hh, th, halves, grad), _mixture_reference(hh, th, halves, grad)
+            for a, b in zip(got, ref):
+                assert (a is None and b is None) or _same_bits(a, b)
+
+    def test_chip_fit_with_the_reference_kernel_is_the_same(self):
+        fit, _ = fit_chip(MIXED_CHIP)
+        with mock.patch.object(estimator, "_mixture", _mixture_reference):
+            ref, _ = fit_chip(MIXED_CHIP)
+        for name in ("theta", "log_likelihood", "converged"):
+            assert _same_bits(getattr(fit, name), getattr(ref, name)), name
 
     def test_objective_matches_the_qubit_major_products(self):
         theta = self._thetas()

@@ -21,7 +21,16 @@ from qasa import (
     write_raw,
     write_report,
 )
-from qasa.data_io import FormatError, _parse_rows, _read_rows, format_field, raw_to_bytes
+from qasa.data_io import (
+    PARAMS_HEADER,
+    FormatError,
+    _parse_params,
+    _parse_rows,
+    _read_param_rows,
+    _read_rows,
+    format_field,
+    raw_to_bytes,
+)
 from qasa.estimator import ChipFit
 from qasa.simulator import RawCounts
 from qasa.topology import ChimeraSpec
@@ -60,6 +69,50 @@ def raw_files(draw):
         lines += [""] * draw(st.integers(0, 1))
         lines.append(",".join(draw(pads) + cell + draw(pads) for cell in cells))
     return ids, newline.join(lines) + newline
+
+
+def _float_cells(values):
+    """Spellings of a float that float() and loadtxt both take."""
+    return values.flatmap(lambda v: st.sampled_from(
+        [repr(v), f"{v:.17e}", (" " + repr(v) + " ")] + (["+" + repr(v)] if repr(v)[0] != "-" else [])))
+
+
+@st.composite
+def params_files(draw, in_domain=True):
+    """(header, text) of a well-formed params table: a 5-, 9- or 13-column
+    header or one with an extra column, ids with leading zeros, floats in
+    several spellings, non-finite log-likelihoods, signed and padded
+    counts, every converged cell, blank lines and CRLF.  Unless
+    `in_domain`, one parameter cell holds any float, NaN and infinities
+    included."""
+    header = draw(st.sampled_from([
+        PARAMS_HEADER[:5], PARAMS_HEADER[:9], PARAMS_HEADER, PARAMS_HEADER[:5] + ["note"],
+    ]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ids = draw(st.lists(st.integers(0, 10**17), min_size=1, max_size=5, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    nonneg = st.floats(0.0, 1.0) | st.just(-0.0)
+    cells = {
+        "beta": _float_cells(st.floats(1e-300, 1e300)),
+        "b": _float_cells(finite),
+        "eta": _float_cells(nonneg),
+        "gamma": _float_cells(nonneg),
+        "log_likelihood": _float_cells(finite) | st.sampled_from(["nan", "-nan", "inf", "-inf", "NaN"]),
+        "n_points": st.integers(-(2**63) + 1, 2**63 - 1).map(str) | st.sampled_from(["+81", " 81 "]),
+        "total_samples": st.integers(0, 2**63 - 1).map(str),
+        "converged": st.sampled_from(["true", "false", ""]),
+        "row": st.just("3"), "col": st.just("0"), "k": st.just("7"),
+        "orientation": st.sampled_from(["vertical", "horizontal"]),
+        "note": st.sampled_from(["", "x", "a b", "é"]),
+    }
+    wild = None if in_domain else (draw(st.sampled_from(ids)), draw(st.sampled_from(PARAMS_HEADER[1:5])))
+    anywhere = _float_cells(st.floats() | st.sampled_from([np.inf, -np.inf, np.nan]))
+    lines = [",".join(header)]
+    for q in ids:
+        lines += [""] * draw(st.integers(0, 1))
+        q_cell = "0" * draw(st.integers(0, 18 - len(str(q)))) + str(q)
+        lines.append(",".join([q_cell] + [draw(anywhere if (q, name) == wild else cells[name]) for name in header[1:]]))
+    return header, newline.join(lines) + newline
 
 
 class TestFormatField:
@@ -116,6 +169,13 @@ class TestRawRoundTrip:
         write_raw(counts, a)
         write_raw(counts, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_rows_are_read_in_field_order(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("h,samples,spin_0\n0.5,10,1\n-0.5,20,2\n0.25,30,3\n")
+        counts = read_raw(path)
+        assert counts.h.tolist() == [-0.5, 0.25, 0.5]
+        assert counts.samples.tolist() == [20, 30, 10] and counts.counts[0].tolist() == [2, 3, 1]
 
     def test_duplicate_zero_keeps_first_sign(self, tmp_path):
         # -0 and 0 are one field; the merged row keeps the sign read first
@@ -289,6 +349,13 @@ class TestParamsTable:
             read_params(path)
         assert ":3:" in str(exc.value)
 
+    def test_rejects_converged_cell_with_a_nul(self, tmp_path):
+        # numpy drops a trailing NUL from a string, csv keeps it
+        path = tmp_path / "params.csv"
+        path.write_text("qubit_id,beta,b,eta,gamma,converged\n0,10,0,0.1,0,true\n1,10,0,0.1,0,true\0\n")
+        with pytest.raises(FormatError, match=re.escape(":3: converged must be true, false or empty, got 'true\\x00'")):
+            read_params(path)
+
     @pytest.mark.parametrize(
         "header,row",
         [
@@ -298,6 +365,9 @@ class TestParamsTable:
             ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,8x"),
             ("qubit_id,beta,b,eta,gamma,total_samples", "1,10,0.0,0.03,0.01,1.5"),
             ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,9223372036854775808"),
+            ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,-9223372036854775808"),
+            # loadtxt would split the quoted cell into the two cells csv counts as one
+            ("qubit_id,beta,b,eta,gamma,note,other", '1,10,0.0,0.03,0.01,"a,b"'),
         ],
     )
     def test_rejects_short_rows_and_bad_cells(self, tmp_path, header, row):
@@ -308,7 +378,7 @@ class TestParamsTable:
             read_params(path)
         assert ":3:" in str(exc.value)
 
-    @pytest.mark.parametrize("cell", ["1_0", " 3", "٣٤", "+3", "-1"])
+    @pytest.mark.parametrize("cell", ["1_0", " 3", "3 ", "٣٤", "+3", "-1", "3\0"])
     def test_rejects_non_decimal_qubit_ids(self, tmp_path, cell):
         path = tmp_path / "params.csv"
         path.write_text(f"qubit_id,beta,b,eta,gamma\n0,10,0,0.1,0\n{cell},10,0,0.1,0\n")
@@ -336,6 +406,72 @@ class TestParamsTable:
         with pytest.raises(FormatError) as exc:
             read_params(path)
         assert str(exc.value) == f"{path}:1: duplicate column beta"
+
+
+class TestParamsParsers:
+    """read_params parses the data rows in one np.loadtxt call and falls
+    back to the row-by-row reader when that fails; both must read alike."""
+
+    @staticmethod
+    def _both(tmp_path, case):
+        """What _parse_params makes of a table, and the file it was written to."""
+        header, text = case
+        fd, path = tempfile.mkstemp(suffix=".csv", dir=tmp_path)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode())
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            return _parse_params(fh.read(), header), path
+
+    @staticmethod
+    def _assert_same(parsed, rows):
+        flags = np.zeros(len(parsed[0]), dtype=np.uint8)
+        table, by_row = ChipFit(*parsed, flags), ChipFit(*rows, flags)
+        for name in ("ids", "theta", "log_likelihood", "converged", "n_points", "total_samples"):
+            a, b = getattr(table, name), getattr(by_row, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params_files())
+    def test_table_parse_matches_row_reader(self, tmp_path, case):
+        parsed, path = self._both(tmp_path, case)
+        assert parsed is not None
+        self._assert_same(parsed, _read_param_rows(path, case[0]))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(params_files(in_domain=False))
+    def test_table_checks_refuse_what_the_row_reader_refuses(self, tmp_path, case):
+        parsed, path = self._both(tmp_path, case)
+        try:
+            rows = _read_param_rows(path, case[0])
+        except FormatError:
+            assert parsed is None
+        else:
+            assert parsed is not None
+            self._assert_same(parsed, rows)
+
+    @pytest.mark.parametrize(
+        "header,row,expected",
+        [
+            (PARAMS_HEADER[:5], "0,1_0,0,0.1,0", (0, 10.0, -1, 0, float("nan"))),
+            (PARAMS_HEADER[:5], '0,"10",0,0.1,0', (0, 10.0, -1, 0, float("nan"))),
+            (PARAMS_HEADER[:5], "0000000000000000000005,10,0,0.1,0", (5, 10.0, -1, 0, float("nan"))),
+            (PARAMS_HEADER[:9], "0,10,0,0.1,0,,,,", (0, 10.0, -1, 0, float("nan"))),
+            (PARAMS_HEADER[:9], "0,10,0,0.1,0,-1.5,٣,8,true", (0, 10.0, 1, 3, -1.5)),
+            (PARAMS_HEADER[:5] + ["note"], '0,10,0,0.1,0,"a,b"', (0, 10.0, -1, 0, float("nan"))),
+        ],
+    )
+    def test_cells_only_the_row_reader_takes(self, tmp_path, header, row, expected):
+        path = tmp_path / "params.csv"
+        path.write_text(f"{','.join(header)}\n{row}\n")
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            assert _parse_params(fh.read(), header) is None
+        fit = read_params(path)
+        q = fit.ids[0]
+        got = (q, fit.theta[0, 0], fit.converged[0], fit.n_points[0], fit.log_likelihood[0])
+        assert got[:4] == expected[:4]
+        assert got[4] == expected[4] or (np.isnan(got[4]) and np.isnan(expected[4]))
 
 
 class TestReportFile:
