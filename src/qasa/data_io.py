@@ -46,6 +46,18 @@ def _fail(path, line_no, msg):
     raise FormatError(f"{path}:{line_no}: {msg}")
 
 
+def _csv_rows(path, fh):
+    """(line number, cells) of each row of the CSV file `fh`, the header
+    first; a row csv cannot read, such as one with a cell past csv's
+    field-size limit, raises FormatError with its line."""
+    line_no = 0
+    try:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            yield line_no, row
+    except csv.Error as exc:
+        _fail(path, line_no + 1, exc)
+
+
 def _qubit_id(text: str) -> int:
     """A qubit id cell: ASCII decimal digits only, where int() alone would
     also take '1_0', ' 3', '+3' and non-ASCII digits."""
@@ -66,9 +78,8 @@ def read_raw(path) -> RawCounts:
     bad cell.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            _, header = next(_csv_rows(path, fh))
         except StopIteration:
             _fail(path, 1, "empty file")
         if header[:2] != ["h", "samples"]:
@@ -125,11 +136,11 @@ def _read_rows(path, ids, n_cells):
     """The data rows read one at a time with int() and float(); the first
     bad cell raises FormatError with its line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         next(reader)
         hs, rows = [], []  # rows: [samples, count per spin column]
         total = 0  # bounds every int64 sum, as no count exceeds its samples
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in reader:
             if not row:
                 continue
             if len(row) != n_cells:
@@ -219,7 +230,7 @@ def read_params(path) -> ChipFit:
     past csv's field-size limit, which only the row reader refuses).
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        _, header = next(_csv_rows(path, fh), (1, None))
         required = PARAMS_HEADER[:5]
         if header is None or header[: len(required)] != required:
             _fail(path, 1, f"header must start with {','.join(required)}")
@@ -292,10 +303,10 @@ def _read_param_rows(path, header):
     """The columns of the data rows read one at a time; the first bad cell
     raises FormatError with its line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(path, fh)
         next(reader)
         rows, seen = [], set()
-        for line_no, cells in enumerate(reader, start=2):
+        for line_no, cells in reader:
             if not cells:
                 continue
             if len(cells) != len(header):

@@ -99,6 +99,9 @@ _RIDGE = 1e-14
 _DAMPING = (1e-3, 1e8)  # initial and largest Levenberg-Marquardt damping
 # Floor on 1 -+ T against underflow at fields far outside [-1, 1].
 _TINY = 1e-300
+# Largest |h| fitted: the kernel's gradient cubes r = hypot(gamma*h, h + ...),
+# which overflows near |h| = 1e103, so a wider field is refused.
+MAX_ABS_FIELD = 1e100
 
 
 class FitError(ValueError):
@@ -431,13 +434,18 @@ def _fit_block(h, weights, means, samples):
 
 
 def _check_fields(counts: RawCounts) -> int:
-    """The number of distinct fields, once they are enough to fit."""
+    """The number of distinct fields, once they are enough to fit and
+    within the kernel's range."""
     h = np.unique(counts.h)
     if h.size < 8 or h[0] >= 0 or h[-1] <= 0:
         span = f" in [{h[0]}, {h[-1]}]" if h.size else ""
         raise FitError(
             f"need >= 8 distinct fields spanning h < 0 and h > 0, got {h.size}{span}"
         )
+    wide = h[np.abs(h) > MAX_ABS_FIELD]
+    if wide.size:
+        raise FitError(f"field {float(wide[0])!r} is outside [-{MAX_ABS_FIELD:g}, {MAX_ABS_FIELD:g}], "
+                       f"where the model cannot be evaluated")
     return h.size
 
 

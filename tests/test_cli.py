@@ -309,6 +309,23 @@ class TestFit:
         assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_DATA
         assert not out.exists()
 
+    def test_too_long_cell_exit(self, tmp_path, capsys):
+        # a cell past csv's field-size limit is a data error with its line
+        bad = tmp_path / "bad.csv"
+        bad.write_text('h,samples,spin_0\n-0.5,100,90\n0.5,100,"' + "1" * 200_000 + '"\n')
+        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {bad}:3: field larger than field limit (131072)\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
+    def test_field_past_the_kernel_range_exit(self, tmp_path, capsys):
+        rows = "".join(f"{h},100,50\n" for h in (*np.linspace(-1, 1, 9).tolist(), 1e200))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("h,samples,spin_0\n" + rows)
+        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            "qasa: field 1e+200 is outside [-1e+100, 1e+100], where the model cannot be evaluated\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_schema_violation_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("h,samples,spin_0\n0.0,100,101\n")
@@ -357,6 +374,15 @@ class TestAnalyze:
             "--out", str(tmp_path / "x.json"),
         ]) == EXIT_DATA
         assert "params.csv:2: expected 5 cells, got 4" in capsys.readouterr().err
+
+    def test_too_long_params_cell_exit(self, tmp_path, capsys):
+        params = tmp_path / "params.csv"
+        params.write_text('qubit_id,beta,b,eta,gamma\n0,10,0.0,0.03,0.01\n1,10,0.0,0.03,"'
+                          + "1" * 200_000 + '"\n')
+        out = tmp_path / "x.json"
+        assert run(["analyze", "--params", str(params), "--chip", "chimera:1", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {params}:3: field larger than field limit (131072)\n"
+        assert list(tmp_path.iterdir()) == [params]
 
     def test_one_orientation_only(self, mini_run, tmp_path):
         _, raw, _ = mini_run

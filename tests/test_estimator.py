@@ -289,6 +289,23 @@ class TestFitChip:
         assert str(chip.value) == str(qubit.value) == \
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
 
+    def test_fields_past_the_kernel_range_are_refused(self):
+        # the kernel overflows near |h| = 1e103, which RuntimeWarning-as-error
+        # turns into a failure; at the bound itself a fit still works
+        edge = estimator.MAX_ABS_FIELD
+        past = float(np.nextafter(edge, np.inf))
+        at = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=(-edge, *field_grid(), edge))
+        fit, _ = fit_chip(at)
+        assert fit[0].converged and np.isfinite(fit[0].log_likelihood)
+        assert abs(fit[0].params.beta - FIG1_PARAMS.beta) / FIG1_PARAMS.beta < 0.05
+        for fields, named in (((-edge, *field_grid(), past), past), ((-past, *field_grid(), edge), -past),
+                              ((-1e200, *field_grid()), -1e200)):
+            counts = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=fields)
+            with pytest.raises(FitError) as exc:
+                fit_chip(counts)
+            assert str(exc.value) == (f"field {named!r} is outside [-1e+100, 1e+100], "
+                                      f"where the model cannot be evaluated")
+
     def test_fields_outside_unit_flag(self):
         wide = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=tuple(np.linspace(-2, 2, 17)))
         assert "fields_outside_unit" in fit_qubit(wide, 0).flags

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasa import QubitParams, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
-from qasa.simulator import MAX_FIELDS, CoverageError, DesignError, RawCounts
+from qasa.model import _theta
+from qasa.simulator import MAX_FIELDS, CoverageError, DesignError, RawCounts, _p_minus
 from qasa.topology import ChimeraSpec
 
 
@@ -237,3 +238,61 @@ class TestStreamLayout:
         ids = (5, 5 + 2**32, 2**64 - 2, 2**64 - 1)
         chip = simulate_chip({q: p for q in ids}, d)
         assert len({tuple(chip.counts[q]) for q in ids}) == len(ids)
+
+
+M64 = 2**64 - 1
+
+
+def fresh_stream(seed, q, n, p_minus):
+    """The tallies a new bit generator keyed (seed, q) draws."""
+    key = np.array([seed & M64, q & M64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).binomial(n, p_minus)
+
+
+def p_minus_of(p, design):
+    return _p_minus(_theta(p), design)[0]
+
+
+REKEY_PARAMS = (
+    QubitParams(10.54, 0.0025, 0.0367, 0.0176),
+    QubitParams(60.0, -0.1, 0.0, 0.1),
+    QubitParams(1.0, 0.1, 0.1, 0.0),
+)
+# any 64-bit ids, joined with a run of ids equal in their low 32 bits
+REKEY_IDS = st.builds(
+    lambda any_ids, low, highs: sorted(set(any_ids) | {high << 32 | low for high in highs}),
+    st.lists(st.integers(0, M64), max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+
+
+class TestRekeyedStream:
+    # one bit generator is re-keyed per qubit; each column must be what a
+    # bit generator built for that qubit alone draws
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(-2**63, M64), ids=REKEY_IDS, n=st.sampled_from((50, 10_000, 5_000_000)),
+           data=st.data())
+    def test_columns_equal_a_fresh_bit_generator(self, seed, ids, n, data):
+        d = SweepDesign(fields=field_grid(h_step=0.25), samples_per_field=n, seed=seed)
+        truth = {q: data.draw(st.sampled_from(REKEY_PARAMS)) for q in ids}
+        chip = simulate_chip(truth, d)
+        for q, p in truth.items():
+            expected = fresh_stream(seed, q, n, p_minus_of(p, d))
+            assert np.array_equal(chip.counts[q], expected)
+            assert np.array_equal(sample_counts(p, d, q), expected)
+
+    @pytest.mark.parametrize("n", [50, 5_000_000])  # binomial by inversion, then by BTPE
+    @pytest.mark.parametrize("h", [-0.05, 0.05])  # p_minus above and below 1/2
+    def test_identical_qubits_on_one_field(self, n, h):
+        # every qubit draws with the same (n, p), so numpy's binomial set-up
+        # cache carries over from one re-key to the next
+        p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
+        d = SweepDesign(fields=(h,), samples_per_field=n, seed=2**63 + 9)
+        ids = range(64)
+        chip = simulate_chip({q: p for q in ids}, d)
+        pm = p_minus_of(p, d)
+        for q in ids:
+            assert np.array_equal(chip.counts[q], fresh_stream(d.seed, q, n, pm))
+        assert len({int(chip.counts[q][0]) for q in ids}) > 1
