@@ -58,6 +58,12 @@ class SweepDesign:
             raise DesignError("fields must be strictly increasing")
         if self.samples_per_field < 1:
             raise DesignError(f"samples_per_field must be >= 1, got {self.samples_per_field}")
+        # the bound `read_raw` puts on a file's samples, so that every sum
+        # of counts fits an int64
+        total = int(self.samples_per_field) * len(fields)
+        if total > np.iinfo(np.int64).max:
+            raise DesignError(f"{self.samples_per_field} samples at each of {len(fields)} fields "
+                              f"add up to {total}, past the int64 range")
 
 
 def field_grid(h_min=-1.0, h_max=1.0, h_step=0.025):

@@ -1,5 +1,7 @@
 import json
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +181,34 @@ class TestSimulate:
             "--samples", "1000", "--h-min=-1e-3", "--h-max=1e-3", "--h-step=1e-3", "--out", str(out),
         ]) == EXIT_OK
         assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["h", "-0.001", "0", "0.001"]
+
+    @pytest.mark.parametrize("samples, total", [
+        ("200000000000000000", "16200000000000000000"),
+        # past int64 itself, where drawing the counts would raise OverflowError
+        ("99999999999999999999", "8099999999999999999919"),
+    ])
+    def test_sample_total_past_int64(self, tmp_path, capsys, samples, total):
+        # read_raw refuses such a file, so simulate must not write it
+        out = tmp_path / "z.csv"
+        assert run([
+            "simulate", "--chip", "chimera:1", "--truth", "preset:median",
+            "--samples", samples, "--out", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"qasa: {samples} samples at each of 81 fields add up to {total}, past the int64 range\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_sample_total_is_read_back(self, tmp_path, capsys):
+        argv = ["simulate", "--chip", "chimera:1", "--truth", "preset:median", "--h-step", "1"]
+        largest = (2**63 - 1) // 3  # three fields: -1, 0 and 1
+        out = tmp_path / "z.csv"
+        assert run([*argv, "--samples", str(largest), "--out", str(out)]) == EXIT_OK
+        counts = read_raw(out)
+        assert counts.samples.tolist() == [largest] * 3 and counts.qubit_ids == list(range(8))
+        assert run([*argv, "--samples", str(largest + 1), "--out", str(tmp_path / "y.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err.endswith(
+            f"add up to {3 * largest + 3}, past the int64 range\n")
+        assert not (tmp_path / "y.csv").exists()
 
 
 class TestFit:
@@ -475,3 +505,82 @@ class TestSweep:
             assert run(["sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out)]) == EXIT_DATA
             assert capsys.readouterr().err == "qasa: trend fit needs >= 2 distinct anneal times\n"
             assert not out.exists()
+
+
+class TestInProcess:
+    """`main` parses every call with the one parser it builds on its first
+    call; each call must still act as with a freshly built parser."""
+
+    def commands(self, root):
+        raw, curve = root / "raw.csv", root / "curve.csv"
+        return [
+            (["simulate", "--chip", "chimera:1", "--truth", "preset:median", "--h-step", "0.25",
+              "--samples", "10000", "--seed", "3", "--out", str(raw)], EXIT_OK),
+            (["fit", "--in", str(raw), "--qubits", "1", "2", "--out", str(root / "two.csv")], EXIT_OK),
+            (["fit", "--in", str(raw), "--out", str(root / "all.csv")], EXIT_OK),
+            (["estimate", "--in", str(raw), "--qubit", "5"], EXIT_USAGE),  # no --out
+            (["estimate", "--in", str(raw), "--qubit", "5", "--out", str(curve)], EXIT_OK),
+            (["analyze", "--params", str(root / "all.csv"), "--chip", "chimera:1",
+              "--out", str(root / "report.json")], EXIT_OK),
+        ]
+
+    def run_all(self, root):
+        for argv, code in self.commands(root):
+            if code == EXIT_USAGE:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == EXIT_USAGE
+            else:
+                assert main(argv) == code
+        outputs = {}
+        for path in sorted(root.iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith(".manifest.json"):
+                manifest = json.loads(data)
+                del manifest["duration_s"]
+                data = manifest
+            outputs[path.name] = data
+        return outputs
+
+    def test_one_parser_gives_what_fresh_parsers_give(self, tmp_path, monkeypatch, capsys):
+        from qasa import cli
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_parser", build_parser)  # a new parser per call
+            expected = self.run_all(fresh)
+        reused = tmp_path / "reused"
+        reused.mkdir()
+        built = mock.Mock(wraps=build_parser)
+        monkeypatch.setattr(cli, "build_parser", built)
+        cli._parser.cache_clear()
+        try:
+            got = self.run_all(reused)
+        finally:
+            cli._parser.cache_clear()
+        assert built.call_count == 1
+        # paths differ by directory only; the manifests record them
+        got = {name: json.loads(json.dumps(v).replace(str(reused), str(fresh)))
+               if isinstance(v, dict) else v for name, v in got.items()}
+        assert got == expected
+        all_rows = (reused / "all.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in all_rows] == list(range(8))
+        # no flag carries over: each manifest holds what a fresh parse gives
+        for argv, code in self.commands(reused):
+            if code == EXIT_OK:
+                flags = vars(build_parser().parse_args(argv))
+                del flags["func"], flags["command"]
+                out = argv[argv.index("--out") + 1]
+                assert json.loads(Path(out + ".manifest.json").read_text())["flags"] == flags
+
+    def test_command_runs_as_the_module_binds_it_now(self, mini_run, tmp_path, monkeypatch):
+        from qasa import cli
+
+        _, raw, _ = mini_run
+        argv = ["estimate", "--in", str(raw), "--qubit", "0", "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == EXIT_OK  # the parser is built by now
+        wrapped = mock.Mock(wraps=cli.cmd_estimate)
+        monkeypatch.setattr(cli, "cmd_estimate", wrapped)
+        assert main(argv) == EXIT_OK
+        assert wrapped.call_count == 1

@@ -1,3 +1,5 @@
+import dataclasses
+from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from qasa import (
     simulate_chip,
 )
 from qasa import estimator
-from qasa.estimator import FitError, log_likelihood_grad
+from qasa.estimator import EffectiveFieldEstimate, FitError, clamp_limit, log_likelihood_grad
 from qasa.model import _R_EPS, _mixture
 from qasa.simulator import RawCounts
 
@@ -77,6 +79,48 @@ class TestEmpiricalEstimates:
             (e,) = empirical_estimates(counts, 0, confidence=0.9973)
             covered += int(e.ci_low <= true_he <= e.ci_high)
         assert 0.99 <= covered / 2000 <= 1.0
+
+
+    @staticmethod
+    def per_field(counts, qubit, confidence):
+        """The reference: each estimate from scalar numpy calls, field by
+        field."""
+        z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        m = counts.samples.astype(float)
+        mean = (m - 2.0 * counts.counts[qubit]) / m
+        lim = clamp_limit(m)
+        half = z * np.sqrt((1.0 - mean**2) / m)
+        out = []
+        for i in range(counts.n_fields()):
+            lo, mid, hi = (
+                np.arctanh(np.clip(v, -lim[i], lim[i]))
+                for v in (mean[i] - half[i], mean[i], mean[i] + half[i])
+            )
+            out.append(EffectiveFieldEstimate(
+                h=float(counts.h[i]), mean=float(mean[i]), h_eff=float(mid),
+                ci_low=float(lo), ci_high=float(hi), samples=int(counts.samples[i]),
+            ))
+        return out
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.9973, 0.999999])
+    def test_matches_the_per_field_loop_bit_for_bit(self, confidence):
+        rng = np.random.default_rng(21)
+        fields = field_grid()
+        samples = rng.choice([1, 2, 3, 100, 10**5, 5 * 10**6, 2**40], size=len(fields))
+        interior = rng.integers(0, samples + 1, size=(6, len(fields)))
+        columns = {0: np.zeros(len(fields)), 1: samples, 2: samples // 2, 3: samples - 1,
+                   **{4 + j: c for j, c in enumerate(interior)}}
+        # saturated ends and an interior, as in a sweep whose outer fields saturate
+        h = np.array(fields)
+        columns[10] = np.where(h < -0.5, samples, np.where(h > 0.5, 0, samples // 3))
+        counts = RawCounts(h=h, samples=samples, counts=columns)
+        for q in counts.qubit_ids:
+            got = empirical_estimates(counts, q, confidence)
+            want = self.per_field(counts, q, confidence)
+            # repr is exact for floats and tells -0.0 from 0.0
+            assert [repr(dataclasses.astuple(e)) for e in got] == [repr(dataclasses.astuple(e)) for e in want]
+            assert all(type(a) is type(b) for e, w in zip(got, want)
+                       for a, b in zip(dataclasses.astuple(e), dataclasses.astuple(w)))
 
 
 class TestLogLikelihood:

@@ -7,6 +7,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qasa import (
     QubitParams,
@@ -24,6 +25,7 @@ from qasa import (
 from qasa.data_io import (
     PARAMS_HEADER,
     FormatError,
+    _decimal_rows,
     _parse_params,
     _parse_rows,
     _read_param_rows,
@@ -200,6 +202,48 @@ class TestRawRoundTrip:
         path = tmp_path / "empty.csv"
         write_raw(counts, path)
         assert path.read_text() == "h,samples\n0,10\n"
+
+
+def per_cell_raw_bytes(counts):
+    """The reference raw CSV rendering: str() on every cell."""
+    lines = ["h,samples" + "".join(f",spin_{q}" for q in counts.qubit_ids)]
+    table = np.column_stack([counts.samples, *(counts.counts[q] for q in counts.qubit_ids)])
+    for h, row in zip(counts.h, table.tolist()):
+        lines.append(format_field(h) + "," + ",".join(map(str, row)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# cells at each change of digit count and at the ends of 32 and 64 bits
+EDGE_CELLS = [0, 9, 10, 99, 100, 2**32 - 1, 2**32, 2**63 - 1]
+
+
+class TestBulkRawRendering:
+    """raw_to_bytes renders the count table from decimal digit planes; it
+    must give the bytes str() gives each cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(0, 6), st.integers(0, 5)).flatmap(
+        lambda shape: hnp.arrays(np.int64, (shape[0], 1 + shape[1]),
+                                 elements=st.sampled_from(EDGE_CELLS) | st.integers(0, 2**63 - 1))))
+    def test_rows_match_str(self, table):
+        # a samples column and zero or more spin columns
+        assert _decimal_rows(table) == [(",".join(map(str, row)) + "\n").encode()
+                                        for row in table.tolist()]
+
+    def test_chip_sized_table_matches_per_cell_rendering(self):
+        rng = np.random.default_rng(15)
+        n_fields, n_qubits = 81, 2032  # chimera:16 at the paper's sweep
+        samples = 10 ** rng.integers(0, 19, size=n_fields)
+        samples[:3] = [1, 2**32, 2**63 - 1]
+        table = rng.integers(0, samples, size=(n_qubits, n_fields), endpoint=True)
+        table[:len(EDGE_CELLS)] = np.array(EDGE_CELLS)[:, None]  # clipped below to the samples
+        table[-2], table[-1] = samples, samples - 1
+        counts = RawCounts(h=np.array(field_grid()), samples=samples,
+                           counts=dict(enumerate(np.minimum(table, samples))))
+        assert raw_to_bytes(counts) == per_cell_raw_bytes(counts)
+        m5e6 = RawCounts(h=np.array(field_grid()), samples=np.full(n_fields, 5_000_000),
+                         counts=dict(enumerate(rng.integers(0, 5_000_001, size=(n_qubits, n_fields)))))
+        assert raw_to_bytes(m5e6) == per_cell_raw_bytes(m5e6)
 
 
 class TestRawParsers:
