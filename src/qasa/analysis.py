@@ -36,16 +36,8 @@ class DistributionSummary:
     outlier_ids: tuple
 
     def to_dict(self):
-        return {
-            "parameter": self.parameter,
-            "count": self.count,
-            "mean": self.mean,
-            "median": self.median,
-            "std": self.std,
-            "bin_edges": list(self.bin_edges),
-            "bin_counts": list(self.bin_counts),
-            "outlier_ids": list(self.outlier_ids),
-        }
+        # lists, not tuples, so the report equals its JSON read back
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ manifest.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -30,6 +29,7 @@ from .analysis import (
 )
 from .data_io import (
     FormatError,
+    _csv_rows,
     format_field,
     read_params,
     read_raw,
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_manifest(args, started):
-    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    flags = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = {
         "command": args.command,
         "flags": flags,
@@ -79,14 +79,9 @@ def _load_truth(text, spec):
 
 def _infer_spec(ids, chip, convention):
     """The chip that places every id: `chip` when given, which must hold
-    them all, else the smallest Chimera grid that does."""
-    if chip:
-        n = parse_chip(chip).grid
-    else:
-        top = max(ids, default=-1)
-        n = 1
-        while 8 * n * n <= top:
-            n += 1
+    them all, else the smallest Chimera grid that does: n cells a side
+    hold ids up to 8n^2 - 1."""
+    n = parse_chip(chip).grid if chip else math.isqrt(max(ids, default=0) // 8) + 1
     return ChimeraSpec(grid=n, operational=frozenset(ids), vertical_low_k=(convention == "vertical-low-k"))
 
 
@@ -95,7 +90,6 @@ def cmd_simulate(args):
     fields = field_grid(args.h_min, args.h_max, args.h_step)
     design = SweepDesign(fields=fields, samples_per_field=args.samples, seed=args.seed)
     write_raw(simulate_chip(truth, design), args.out)
-    return EXIT_OK
 
 
 def cmd_fit(args):
@@ -113,7 +107,6 @@ def cmd_fit(args):
     write_params(fit, spec, args.out)
     print(f"qasa fit: {len(fit)} fitted, {np.count_nonzero(fit.flags)} flagged "
           f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
-    return EXIT_OK
 
 
 def cmd_estimate(args):
@@ -125,41 +118,42 @@ def cmd_estimate(args):
             fh.write(
                 f"{format_field(e.h)},{e.mean!r},{e.h_eff!r},{e.ci_low!r},{e.ci_high!r}\n"
             )
-    return EXIT_OK
 
 
 def cmd_analyze(args):
     fit = read_params(args.params)
     spec = _infer_spec(fit.ids.tolist(), args.chip, args.orientation_convention)
     write_report(build_report(fit, spec, bins=args.bins), args.out)
-    return EXIT_OK
 
 
 def cmd_sweep(args):
     points = []
     with open(args.manifest, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["anneal_time_us", "params_file"]:
+        rows = _csv_rows(args.manifest, fh)
+        _, header = next(rows, (1, []))
+        if [c.strip() for c in header[:2]] != ["anneal_time_us", "params_file"]:
             raise FormatError(f"{args.manifest}:1: header must be 'anneal_time_us,params_file'")
         base = os.path.dirname(os.path.abspath(args.manifest))
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
+            where = f"{args.manifest}:{line_no}"
             if len(row) < 2:
-                raise FormatError(f"{args.manifest}:{line_no}: expected 2 cells, got {len(row)}")
+                raise FormatError(f"{where}: expected 2 cells, got {len(row)}")
             try:
                 t = float(row[0])
             except ValueError:
-                raise FormatError(f"{args.manifest}:{line_no}: bad anneal time {row[0]!r}")
+                raise FormatError(f"{where}: bad anneal time {row[0]!r}")
             if not (0 < t < math.inf):
-                raise FormatError(f"{args.manifest}:{line_no}: anneal time must be positive "
-                                  f"and finite, got {row[0]!r}")
-            path = row[1] if os.path.isabs(row[1]) else os.path.join(base, row[1])
+                raise FormatError(f"{where}: anneal time must be positive and finite, got {row[0]!r}")
+            if not row[1]:
+                raise FormatError(f"{where}: empty params_file")
             try:
-                points.append(sweep_point(t, read_params(path)))
+                points.append(sweep_point(t, read_params(os.path.join(base, row[1]))))
             except AnalysisError as exc:  # an empty fit; the time was checked above
-                raise FormatError(f"{args.manifest}:{line_no}: params file has {exc}") from None
+                raise FormatError(f"{where}: params file has {exc}") from None
+            except OSError as exc:
+                raise FormatError(f"{where}: {exc}") from None
     trend = fit_log_trend(points, args.parameter)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("anneal_time_us,mean,std\n")
@@ -168,7 +162,6 @@ def cmd_sweep(args):
         fh.write(f"trend_c0,{trend.c0!r}\n")
         fh.write(f"trend_c1,{trend.c1!r}\n")
         fh.write(f"trend_residual_rms,{trend.residual_rms!r}\n")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -189,7 +182,6 @@ def build_parser() -> _Parser:
                    help="samples per field (default 5000000)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="output raw CSV path")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit model parameters for every qubit in a raw CSV")
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
@@ -201,7 +193,6 @@ def build_parser() -> _Parser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the output is identical for any value")
     p.add_argument("--orientation-convention", **orientation)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("estimate", help="empirical effective-field curve for one qubit")
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
@@ -209,7 +200,6 @@ def build_parser() -> _Parser:
     p.add_argument("--confidence", type=float, default=CONFIDENCE,
                    help=f"two-sided CI coverage (default {CONFIDENCE})")
     p.add_argument("--out", required=True, help="output curve CSV path")
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("analyze", help="distribution/orientation/spatial report from a params CSV")
     p.add_argument("--params", required=True, help="input params CSV")
@@ -217,14 +207,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output report JSON path")
     p.add_argument("--bins", type=int, default=50, help="histogram bins (default 50)")
     p.add_argument("--orientation-convention", **orientation)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="trend of a parameter across anneal-time datasets")
     p.add_argument("--manifest", required=True,
                    help="CSV of anneal_time_us,params_file rows")
     p.add_argument("--parameter", choices=list(PARAMETERS), required=True)
     p.add_argument("--out", required=True, help="output trend CSV path")
-    p.set_defaults(func=cmd_sweep)
     return parser
 
 
@@ -235,26 +223,30 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command; return its exit code.
+    """Run one command; return its exit code, whatever the outcome: 0 on
+    success and for ``--help`` and ``--version``, 1 for a usage error, 2
+    for a data error.  Never raises SystemExit.
 
     May be called any number of times in one process.  Every call parses
     with the one parser `build_parser` gives on the first call: building
     it takes about 0.9 ms, some 17 times as long as a parse, which a
     process that runs many short commands would pay per command.  Parsing
     leaves the parser as it was and each call gets a fresh namespace, so
-    no flag carries over.  The command runs as this module binds its name
-    now, not as the parser bound it when built, so a wrapper installed
-    since (a tracer, a test's patch) still runs.
+    no flag carries over.  The command ``cmd_<name>`` is looked up in this
+    module when it runs, so a wrapper installed since (a tracer, a test's
+    patch) still runs.
     """
-    args = _parser().parse_args(argv)
-    started = time.monotonic()
     try:
-        code = globals()[args.func.__name__](args)
+        args = _parser().parse_args(argv)
+        started = time.monotonic()
+        globals()[f"cmd_{args.command}"](args)
         _write_manifest(args, started)
+    except SystemExit as exc:  # argparse: usage error, --help, --version
+        return exc.code
     except (ValueError, OSError) as exc:
         print(f"qasa: {exc}", file=sys.stderr)
         return EXIT_DATA
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -48,6 +49,15 @@ class TestHelp:
             build_parser().parse_args(["simulate", "--chip", "chimera:1"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_main_returns_every_exit_code(self, capsys):
+        # main raises no SystemExit: it returns what the console script exits with
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"{__version__}\n"
+        assert main(["simulate", "--help"]) == EXIT_OK
+        assert "--samples" in capsys.readouterr().out
+        assert main(["fit"]) == EXIT_USAGE
+        assert "the following arguments are required" in capsys.readouterr().err
+
 
 class TestManifest:
     COMMANDS = ("simulate", "fit", "estimate", "analyze", "sweep")
@@ -71,7 +81,7 @@ class TestManifest:
         assert run(argv) == EXIT_OK
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         flags = vars(build_parser().parse_args(argv))
-        del flags["func"], flags["command"]
+        del flags["command"]
         assert manifest.keys() == {"command", "flags", "seed", "tool_version", "duration_s"}
         assert manifest["command"] == command
         assert manifest["flags"] == flags
@@ -304,14 +314,38 @@ class TestFit:
         bad = tmp_path / "bad.csv"
         bad.write_text("h,samples,spin_0\n-0.5,100,90\n0.5,100,10\n")
         out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            run(["fit", "--in", str(bad), "--out", str(out), "--strict"])
-        assert exc.value.code == EXIT_USAGE
+        assert run(["fit", "--in", str(bad), "--out", str(out), "--strict"]) == EXIT_USAGE
         capsys.readouterr()
         assert run(["fit", "--in", str(bad), "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == \
             "qasa: need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]\n"
         assert list(tmp_path.iterdir()) == [bad]  # no params file, no manifest
+
+    def test_infer_spec_matches_the_grid_search(self):
+        from qasa.cli import _infer_spec
+
+        assert _infer_spec([], None, "vertical-low-k").grid == 1
+        n = 1
+        for top in range(200_001):
+            while 8 * n * n <= top:  # the smallest grid whose 8n^2 ids reach top
+                n += 1
+            assert _infer_spec([top], None, "vertical-low-k").grid == n, top
+
+    def test_huge_qubit_id_places_at_once(self, mini_run, tmp_path):
+        # a grid search would step 353553391 times to place this id
+        _, raw, _ = mini_run
+        counts = read_raw(raw)
+        top = 10**18 - 1
+        big = tmp_path / "big.csv"
+        write_raw(RawCounts(counts.h, counts.samples, {top: counts.counts[0]}), big)
+        out = tmp_path / "out.csv"
+        started = time.monotonic()
+        assert run(["fit", "--in", str(big), "--out", str(out)]) == EXIT_OK
+        assert time.monotonic() - started < 2.0
+        header, row = (line.split(",") for line in out.read_text().splitlines())
+        cells = dict(zip(header, row))
+        assert (cells["qubit_id"], cells["row"], cells["col"], cells["k"]) == \
+            (str(top), "353553390", "65954509", "7")
 
     def test_summary_line(self, mini_run, tmp_path, capsys):
         # a dead qubit that always reads +1 fits at the box edge and is flagged
@@ -464,6 +498,41 @@ class TestSweep:
         ]) == EXIT_DATA
         assert "sets.csv:3: expected 2 cells, got 1" in capsys.readouterr().err
 
+    def test_cell_past_the_csv_limit(self, tmp_path, capfd):
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1," + "p" * 200_000 + "\n")
+        out = tmp_path / "t.csv"
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out),
+        ]) == EXIT_DATA
+        err = capfd.readouterr().err
+        assert err.startswith("qasa: ") and err.count("\n") == 1
+        assert "sets.csv:2: field larger than field limit (131072)" in err
+        assert list(tmp_path.iterdir()) == [manifest]
+
+    def test_empty_params_file_cell(self, tmp_path, capsys):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n2,\n")
+        out = tmp_path / "t.csv"
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {manifest}:3: empty params_file\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv", "sets.csv"]
+
+    def test_missing_params_file_names_its_line(self, tmp_path, capsys):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n2,p2.csv\n")
+        assert run([
+            "sweep", "--manifest", str(manifest), "--parameter", "beta",
+            "--out", str(tmp_path / "t.csv"),
+        ]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"qasa: {manifest}:3: [Errno 2] No such file or directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p1.csv", "sets.csv"]
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-2"])
     def test_non_finite_or_nonpositive_time(self, tmp_path, capfd, bad):
         self.write_params_file(tmp_path / "p1.csv", 10.5)
@@ -526,12 +595,7 @@ class TestInProcess:
 
     def run_all(self, root):
         for argv, code in self.commands(root):
-            if code == EXIT_USAGE:
-                with pytest.raises(SystemExit) as exc:
-                    main(argv)
-                assert exc.value.code == EXIT_USAGE
-            else:
-                assert main(argv) == code
+            assert main(argv) == code
         outputs = {}
         for path in sorted(root.iterdir()):
             data = path.read_bytes()
@@ -570,7 +634,7 @@ class TestInProcess:
         for argv, code in self.commands(reused):
             if code == EXIT_OK:
                 flags = vars(build_parser().parse_args(argv))
-                del flags["func"], flags["command"]
+                del flags["command"]
                 out = argv[argv.index("--out") + 1]
                 assert json.loads(Path(out + ".manifest.json").read_text())["flags"] == flags
 

@@ -300,6 +300,21 @@ class TestLikelihoodMaximum:
             assert r.log_likelihood == log_likelihood(r.params, counts.h, m, w)
             assert r.log_likelihood >= log_likelihood(p, counts.h, m, w)
 
+    def test_fine_steps_must_shrink_the_decrement(self):
+        # hard qubits at 1e3 shots: a fine step that does not shrink the
+        # Newton decrement is refused, so these fits settle; judged by
+        # their gain alone, such steps keep being taken, and each of these
+        # fits runs to the iteration cap unconverged
+        truth = {
+            18: QubitParams(2.8103349891116247, 0.07177119175391938, 0.0, 0.595517430954158),
+            19: QubitParams(100.22587511607281, 0.25068342629454626, 0.5251289476766946, 0.029933358620998482),
+            71: QubitParams(19.233263223128468, 0.2745332499310588, 0.1134271936011625, 0.3113589174765179),
+            98: QubitParams(78.6052897628585, 0.21909088056954645, 0.42516827408703056, 0.2632330423159546),
+        }
+        fit, _ = fit_chip(simulate_chip(truth, SweepDesign(field_grid(), 1000, seed=304208576)))
+        assert fit.ids.tolist() == [18, 19, 71, 98]
+        assert fit.converged.tolist() == [1, 1, 1, 1]
+
 
 class TestFitChip:
     def test_round_trip_small_chip(self):
