@@ -41,7 +41,7 @@ from .estimator import CONFIDENCE, empirical_estimates, fit_chip
 from .model import QubitParams
 from .presets import PRESETS, preset_truth
 from .simulator import RawCounts, SweepDesign, field_grid, simulate_chip
-from .topology import ChimeraSpec, parse_chip
+from .topology import ChimeraSpec, _chip_grid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,12 +68,13 @@ def _write_manifest(args, started):
         fh.write("\n")
 
 
-def _load_truth(text, spec):
+def _load_truth(text, grid):
+    # a preset covers every slot of the chip; a file only its own ids
     if text.startswith("preset:"):
-        return preset_truth(text[len("preset:"):], spec)
+        return preset_truth(text[len("preset:"):], ChimeraSpec(grid=grid))
     fit = read_params(text)
     ids = fit.ids.tolist()
-    ChimeraSpec(spec.grid, operational=ids)  # every id must sit on the chip
+    ChimeraSpec(grid, operational=ids)  # every id must sit on the chip
     return {q: QubitParams(*theta) for q, theta in zip(ids, fit.theta.tolist())}
 
 
@@ -81,12 +82,12 @@ def _infer_spec(ids, chip, convention):
     """The chip that places every id: `chip` when given, which must hold
     them all, else the smallest Chimera grid that does: n cells a side
     hold ids up to 8n^2 - 1."""
-    n = parse_chip(chip).grid if chip else math.isqrt(max(ids, default=0) // 8) + 1
+    n = _chip_grid(chip) if chip else math.isqrt(max(ids, default=0) // 8) + 1
     return ChimeraSpec(grid=n, operational=frozenset(ids), vertical_low_k=(convention == "vertical-low-k"))
 
 
 def cmd_simulate(args):
-    truth = _load_truth(args.truth, parse_chip(args.chip))
+    truth = _load_truth(args.truth, _chip_grid(args.chip))
     fields = field_grid(args.h_min, args.h_max, args.h_step)
     design = SweepDesign(fields=fields, samples_per_field=args.samples, seed=args.seed)
     write_raw(simulate_chip(truth, design), args.out)

@@ -132,46 +132,50 @@ def _parse_rows(fh, n_cells):
     return h, table
 
 
-def _read_rows(path, ids, n_cells):
-    """The data rows read one at a time with int() and float(); the first
-    bad cell raises FormatError with its line."""
+def _data_rows(path, n_cells):
+    """(line number, cells) of each data row of the CSV file at `path`:
+    the header and blank rows are skipped, and a row of other than
+    `n_cells` cells raises FormatError with its line."""
     with open(path, newline="") as fh:
         reader = _csv_rows(path, fh)
         next(reader)
-        hs, rows = [], []  # rows: [samples, count per spin column]
-        total = 0  # bounds every int64 sum, as no count exceeds its samples
         for line_no, row in reader:
             if not row:
                 continue
             if len(row) != n_cells:
                 _fail(path, line_no, f"expected {n_cells} cells, got {len(row)}")
+            yield line_no, row
+
+
+def _read_rows(path, ids, n_cells):
+    """The data rows read one at a time with int() and float(); the first
+    bad cell raises FormatError with its line."""
+    hs, rows = [], []  # rows: [samples, count per spin column]
+    total = 0  # bounds every int64 sum, as no count exceeds its samples
+    for line_no, row in _data_rows(path, n_cells):
+        try:
+            h = float(row[0])
+            samples = int(row[1])
+        except ValueError:
+            _fail(path, line_no, f"non-numeric h or samples: {row[:2]}")
+        if not math.isfinite(h):
+            _fail(path, line_no, f"non-finite h {row[0]!r}")
+        if samples <= 0:
+            _fail(path, line_no, f"samples must be positive, got {samples}")
+        total += samples
+        if total > np.iinfo(np.int64).max:
+            _fail(path, line_no, f"samples add up to {total}, past the int64 range")
+        cells = [samples]
+        for q, cell in zip(ids, row[2:]):
             try:
-                h = float(row[0])
-                samples = int(row[1])
+                c = int(cell)
             except ValueError:
-                _fail(path, line_no, f"non-numeric h or samples: {row[:2]}")
-            if not math.isfinite(h):
-                _fail(path, line_no, f"non-finite h {row[0]!r}")
-            if samples <= 0:
-                _fail(path, line_no, f"samples must be positive, got {samples}")
-            total += samples
-            if total > np.iinfo(np.int64).max:
-                _fail(path, line_no, f"samples add up to {total}, past the int64 range")
-            try:
-                cells = [samples, *map(int, row[2:])]
-                bad = min(cells) < 0 or max(cells) > samples
-            except ValueError:
-                bad = True
-            if bad:
-                for q, cell in zip(ids, row[2:]):  # name the first bad cell
-                    try:
-                        c = int(cell)
-                    except ValueError:
-                        _fail(path, line_no, f"non-integer count {cell!r} for qubit {q}")
-                    if not (0 <= c <= samples):
-                        _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
-            hs.append(h)
-            rows.append(cells)
+                _fail(path, line_no, f"non-integer count {cell!r} for qubit {q}")
+            if not (0 <= c <= samples):
+                _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
+            cells.append(c)
+        hs.append(h)
+        rows.append(cells)
     return np.array(hs, dtype=float), np.array(rows, dtype=np.int64).reshape(len(rows), n_cells - 1)
 
 
@@ -333,34 +337,27 @@ def _parse_params(text, header):
 def _read_param_rows(path, header):
     """The columns of the data rows read one at a time; the first bad cell
     raises FormatError with its line."""
-    with open(path, newline="") as fh:
-        reader = _csv_rows(path, fh)
-        next(reader)
-        rows, seen = [], set()
-        for line_no, cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                _fail(path, line_no, f"expected {len(header)} cells, got {len(cells)}")
-            row = dict(zip(header, cells))
-            try:
-                q = _qubit_id(row["qubit_id"])
-                theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
-                _check_params(*theta)
-                log_likelihood = float(row.get("log_likelihood") or "nan")
-                n_points = int(row.get("n_points") or 0)
-                total_samples = int(row.get("total_samples") or 0)
-                if max(abs(n_points), abs(total_samples)) > np.iinfo(np.int64).max:
-                    raise ValueError("n_points or total_samples past the int64 range")
-            except ValueError as exc:
-                _fail(path, line_no, str(exc))
-            if q in seen:
-                _fail(path, line_no, f"duplicate qubit id {q}")
-            seen.add(q)
-            converged = row.get("converged") or ""
-            if converged not in _CONVERGED_CODE:
-                _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
-            rows.append((q, theta, log_likelihood, _CONVERGED_CODE[converged], n_points, total_samples))
+    rows, seen = [], set()
+    for line_no, cells in _data_rows(path, len(header)):
+        row = dict(zip(header, cells))
+        try:
+            q = _qubit_id(row["qubit_id"])
+            theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
+            _check_params(*theta)
+            log_likelihood = float(row.get("log_likelihood") or "nan")
+            n_points = int(row.get("n_points") or 0)
+            total_samples = int(row.get("total_samples") or 0)
+            if max(abs(n_points), abs(total_samples)) > np.iinfo(np.int64).max:
+                raise ValueError("n_points or total_samples past the int64 range")
+        except ValueError as exc:
+            _fail(path, line_no, str(exc))
+        if q in seen:
+            _fail(path, line_no, f"duplicate qubit id {q}")
+        seen.add(q)
+        converged = row.get("converged") or ""
+        if converged not in _CONVERGED_CODE:
+            _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
+        rows.append((q, theta, log_likelihood, _CONVERGED_CODE[converged], n_points, total_samples))
     return zip(*rows) if rows else ([],) * 6
 
 

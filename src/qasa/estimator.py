@@ -281,7 +281,7 @@ def _objective(h, theta, means, weights):
     `_fieldsum` reduces over fields.  The information's upper triangle is
     mirrored into its lower one, which is exact: dT_i*dT_j == dT_j*dT_i.
     """
-    om, op, _, dT = _mixture(h[:, None], theta.T[:, None, :], grad=True)
+    om, op, dT = _mixture(h[:, None], theta.T[:, None, :], grad=True)
     np.maximum(om, _TINY, out=om)
     np.maximum(op, _TINY, out=op)
     w = weights[:, None]

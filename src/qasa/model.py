@@ -90,20 +90,20 @@ def _theta(p: QubitParams):
     return np.array(p.astuple()).reshape(4, 1, 1)
 
 
-def _mixture(h, theta, halves=True, grad=False):
+def _mixture(h, theta, grad=False):
     """The mixture kernel: every qubit's spin mean at every field.
 
     theta holds (beta, b, eta, gamma) on its leading axis, each of which
     broadcasts against h; the caller picks the layout.  Qubit-major:
     theta (4, Q, 1) against h (F,) gives (Q, F) results, as the simulator,
     `spin_expectation` and `effective_field` use.  Field-major: theta
-    (4, 1, Q) against h (F, 1) gives (F, Q), as the fitter uses.  Returns
-    (om, op, T, dT): the mean spin T and its halves om = 1 - T and
-    op = 1 + T, each of the broadcast shape S, and dT/dtheta stacked on a
-    leading axis, (4,) + S.  The halves are computed when `halves` is set
-    and T when it is not, as no caller of the halves reads T; dT is
-    computed when `grad` is set.  A skipped part is None.  Every element
-    is computed by the same arithmetic in either layout.
+    (4, 1, Q) against h (F, 1) gives (F, Q), as the fitter uses.  Every
+    element is computed by the same arithmetic in either layout.  Without
+    `grad`, returns the mean spin T, of the broadcast shape S, which is
+    all the simulator and `spin_expectation` need.  With `grad`, returns
+    (om, op, dT): the halves om = 1 - T and op = 1 + T, each of shape S,
+    and dT/dtheta stacked on a leading axis, (4,) + S, as the fitter uses;
+    `effective_field` takes the halves and drops dT.
 
     Each noise sign s contributes c*tanh(beta*r)/(2r) to T, with
     c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
@@ -121,28 +121,26 @@ def _mixture(h, theta, halves=True, grad=False):
     terms shared by both signs (gamma*h, its square and h + b) are made
     once, each sign's intermediates are written with `out=` into one fixed
     set of scratch arrays that the second sign reuses, and only the
-    outputs are new.  The scratch arrays are separate and made only for
-    the parts asked for, so the simulator's T-only call on a whole chip
-    makes five.  Each element is still computed by the expression, and
-    in the order, written beside its line.
+    outputs are new; a call without `grad` makes five scratch arrays.
+    Each element is still computed by the expression, and in the order,
+    written beside its line.
     """
     h = np.asarray(h, dtype=float)
     beta, b, eta, gamma = theta
     x = gamma * h  # of the broadcast shape, as all four share theta's shape
     shape = x.shape
     hb = h + b
-    T = None if halves else np.zeros(shape)
-    om = np.zeros(shape) if halves else None
-    op = np.zeros(shape) if halves else None
-    dT = np.zeros((4,) + shape) if grad else None
+    if grad:
+        om, op, dT = np.zeros(shape), np.zeros(shape), np.zeros((4,) + shape)
+    else:
+        T = np.zeros(shape)
     # per-sign scratch, reused by the second sign
     c, r, two_r, t = (np.empty(shape) for _ in range(4))
     tiny = np.empty(shape, dtype=bool)
-    f = np.empty(shape) if grad or not halves else None
-    if halves or grad:
+    f = np.empty(shape)
+    if grad:
         m2beta = -2.0 * beta
         eps, u, v, w = (np.empty(shape) for _ in range(4))
-    if halves:
         xx = x * x
         side = np.empty(shape, dtype=bool)
     for s in (+1.0, -1.0):
@@ -153,81 +151,77 @@ def _mixture(h, theta, halves=True, grad=False):
         if some:
             r[tiny] = 1.0                           # r is safe_r from here on
         np.multiply(r, 2.0, out=two_r)              # 2r
-        if f is not None:
-            # tanh saturates, no overflow risk at large beta*r
-            np.tanh(np.multiply(beta, r, out=f), out=f)
-        if not halves:
+        # tanh saturates, no overflow risk at large beta*r
+        np.tanh(np.multiply(beta, r, out=f), out=f)
+        if not grad:
             np.multiply(c, f, out=t)
             t /= two_r                              # c*f/(2r)
             if some:
                 t[tiny] = (c * beta / 2.0)[tiny]
             T += t
-        if not (halves or grad):
             continue
         np.exp(np.multiply(m2beta, r, out=eps), out=eps)  # e = exp(-2*beta*r)
         np.add(eps, 1.0, out=u)
         eps *= 2.0
         eps /= u                                    # eps = 2*e/(1 + e)
-        if halves:
-            np.abs(c, out=u)
-            u += r                                  # far = r + |c|
-            np.divide(xx, u, out=w)                 # near = x*x/(r + |c|)
-            np.multiply(c, eps, out=v)              # c*eps
-            # rm is near where c > 0 and far elsewhere
-            np.add(u, v, out=t)
-            np.add(w, v, out=t, where=np.greater(c, 0.0, out=side))
-            t /= two_r                              # (rm + c*eps)/(2r)
-            if some:
-                t[tiny] = (0.5 - c * beta / 2.0)[tiny]
-            om += t
-            # rp is near where c < 0 and far elsewhere
-            np.subtract(u, v, out=t)
-            np.subtract(w, v, out=t, where=np.less(c, 0.0, out=side))
-            t /= two_r                              # (rp - c*eps)/(2r)
-            if some:
-                t[tiny] = (0.5 + c * beta / 2.0)[tiny]
-            op += t
-        if grad:
-            # sech^2 = (1 - f)(1 + f), kept accurate where f rounds to 1
-            np.subtract(2.0, eps, out=v)
-            v *= eps                                # sech2 = eps*(2 - eps)
-            np.multiply(c, v, out=t)
-            t /= 2.0                                # c*sech2/2
-            if some:
-                t[tiny] = (c / 2.0)[tiny]
-            dT[0] += t                              # d/dbeta
-            v *= beta                               # beta*sech2
-            # d(c*A(r))/dc with A = tanh(beta*r)/(2r), as two nonnegative
-            # terms: A + (c^2/r) dA/dr cancels once gamma*h << c
-            np.multiply(f, x, out=t)
-            t *= x
-            np.power(r, 3, out=w)
-            w *= 2.0
-            t /= w                                  # f*x*x/(2*r**3)
-            np.square(r, out=w)
-            w *= 2.0                                # 2*r**2
-            np.multiply(v, c, out=u)
-            u *= c
-            u /= w                                  # beta*sech2*c*c/(2*r**2)
-            t += u                                  # d_dc
-            if some:
-                t[tiny] = np.broadcast_to(beta / 2.0, shape)[tiny]
-            # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
-            v /= two_r
-            np.divide(f, w, out=u)
-            v -= u                                  # B = beta*sech2/(2r) - f/(2*r**2)
-            if some:
-                v[tiny] = 0.0
-            dT[1] += t                              # d/db
-            if s < 0:
-                t *= s
-            dT[2] += t                              # d/deta: s*d_dc
-            np.multiply(c, x, out=u)
-            u *= h
-            u /= r
-            u *= v
-            dT[3] += u                              # d/dgamma: (c*x*h/r)*B
-    return om, op, T, dT
+        np.abs(c, out=u)
+        u += r                                      # far = r + |c|
+        np.divide(xx, u, out=w)                     # near = x*x/(r + |c|)
+        np.multiply(c, eps, out=v)                  # c*eps
+        # rm is near where c > 0 and far elsewhere
+        np.add(u, v, out=t)
+        np.add(w, v, out=t, where=np.greater(c, 0.0, out=side))
+        t /= two_r                                  # (rm + c*eps)/(2r)
+        if some:
+            t[tiny] = (0.5 - c * beta / 2.0)[tiny]
+        om += t
+        # rp is near where c < 0 and far elsewhere
+        np.subtract(u, v, out=t)
+        np.subtract(w, v, out=t, where=np.less(c, 0.0, out=side))
+        t /= two_r                                  # (rp - c*eps)/(2r)
+        if some:
+            t[tiny] = (0.5 + c * beta / 2.0)[tiny]
+        op += t
+        # sech^2 = (1 - f)(1 + f), kept accurate where f rounds to 1
+        np.subtract(2.0, eps, out=v)
+        v *= eps                                    # sech2 = eps*(2 - eps)
+        np.multiply(c, v, out=t)
+        t /= 2.0                                    # c*sech2/2
+        if some:
+            t[tiny] = (c / 2.0)[tiny]
+        dT[0] += t                                  # d/dbeta
+        v *= beta                                   # beta*sech2
+        # d(c*A(r))/dc with A = tanh(beta*r)/(2r), as two nonnegative
+        # terms: A + (c^2/r) dA/dr cancels once gamma*h << c
+        np.multiply(f, x, out=t)
+        t *= x
+        np.power(r, 3, out=w)
+        w *= 2.0
+        t /= w                                      # f*x*x/(2*r**3)
+        np.square(r, out=w)
+        w *= 2.0                                    # 2*r**2
+        np.multiply(v, c, out=u)
+        u *= c
+        u /= w                                      # beta*sech2*c*c/(2*r**2)
+        t += u                                      # d_dc
+        if some:
+            t[tiny] = np.broadcast_to(beta / 2.0, shape)[tiny]
+        # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
+        v /= two_r
+        np.divide(f, w, out=u)
+        v -= u                                      # B = beta*sech2/(2r) - f/(2*r**2)
+        if some:
+            v[tiny] = 0.0
+        dT[1] += t                                  # d/db
+        if s < 0:
+            t *= s
+        dT[2] += t                                  # d/deta: s*d_dc
+        np.multiply(c, x, out=u)
+        u *= h
+        u /= r
+        u *= v
+        dT[3] += u                                  # d/dgamma: (c*x*h/r)*B
+    return (om, op, dT) if grad else T
 
 
 def spin_expectation(h, p: QubitParams):
@@ -236,7 +230,7 @@ def spin_expectation(h, p: QubitParams):
     Accepts a scalar or array of fields; pure and deterministic.
     """
     h = np.asarray(h, dtype=float)
-    return _mixture(h.ravel(), _theta(p), halves=False)[2].reshape(h.shape)
+    return _mixture(h.ravel(), _theta(p)).reshape(h.shape)
 
 
 def effective_field(h, p: QubitParams):
@@ -244,10 +238,15 @@ def effective_field(h, p: QubitParams):
 
     Evaluated as (log(1+T) - log(1-T))/2 on cancellation-free halves, which
     stays accurate far past the point where tanh saturates in floating
-    point (classical check: beta=100, h=1 returns 100 to ~1e-14).
+    point (classical check: beta=100, h=1 returns 100 to ~1e-14).  The
+    halves come with the fitter's gradient, which is dropped.  The limit:
+    at gamma = 0 a half underflows to 0, and the result to +-inf, once
+    beta*|h + b -+ eta| passes about 372 for both signs.  At beta = 100
+    and gamma = b = eta = 0, h = 3.6 gives 360.0000000000014 and h = 4
+    gives inf, with "divide by zero encountered in log".
     """
     h = np.asarray(h, dtype=float)
-    om, op, _, _ = _mixture(h.ravel(), _theta(p))
+    om, op, _ = _mixture(h.ravel(), _theta(p), grad=True)
     return (0.5 * (np.log(op) - np.log(om))).reshape(h.shape)
 
 

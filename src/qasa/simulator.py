@@ -172,7 +172,7 @@ def _draw(p_minus, design: SweepDesign, ids) -> list:
 def _p_minus(theta, design: SweepDesign):
     # p_minus straight from the spin mean; bypasses arctanh, which would
     # overflow where tanh saturates to 1 in floating point
-    return (1.0 - _mixture(np.array(design.fields), theta, halves=False)[2]) / 2.0
+    return (1.0 - _mixture(np.array(design.fields), theta)) / 2.0
 
 
 def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -129,11 +130,24 @@ class TestSimulate:
         ]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 6
 
-    def test_bad_chip_spec(self, tmp_path):
-        assert run([
-            "simulate", "--chip", "pegasus:4", "--truth", "preset:median",
-            "--out", str(tmp_path / "x.csv"),
-        ]) == EXIT_DATA
+    def test_bad_chip_spec(self, mini_run, tmp_path, capsys):
+        _, raw, params = mini_run
+        for chip, message in [
+            ("pegasus:4", "unsupported chip spec 'pegasus:4', expected chimera:<n>"),
+            ("chimera:x", "bad grid size in chip spec 'chimera:x'"),
+            ("chimera:0", "grid side must be >= 1, got 0"),
+        ]:
+            for argv in (
+                ["simulate", "--chip", chip, "--truth", "preset:median"],
+                ["simulate", "--chip", chip, "--truth", str(params)],
+                # the chip is checked before the truth file is read
+                ["simulate", "--chip", chip, "--truth", str(tmp_path / "missing.csv")],
+                ["fit", "--in", str(raw), "--chip", chip],
+                ["analyze", "--params", str(params), "--chip", chip],
+            ):
+                assert run(argv + ["--out", str(tmp_path / "x.csv")]) == EXIT_DATA
+                assert capsys.readouterr().err == f"qasa: {message}\n", argv
+        assert list(tmp_path.iterdir()) == []
 
     def test_truth_coverage_gap(self, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -346,6 +360,23 @@ class TestFit:
         cells = dict(zip(header, row))
         assert (cells["qubit_id"], cells["row"], cells["col"], cells["k"]) == \
             (str(top), "353553390", "65954509", "7")
+
+    def test_large_chip_builds_no_id_set(self, mini_run, tmp_path):
+        # --chip gives the layout's grid; only a preset truth fills every
+        # slot, so 8 qubits on chimera:300 (720000 slots) stay small
+        _, raw, params = mini_run
+        for argv in (
+            ["fit", "--in", str(raw), "--chip", "chimera:300"],
+            ["simulate", "--chip", "chimera:300", "--truth", str(params),
+             "--h-step", "0.5", "--samples", "1000"],
+        ):
+            tracemalloc.start()
+            try:
+                assert run(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_OK
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10 * 2**20, (argv[0], peak)
 
     def test_summary_line(self, mini_run, tmp_path, capsys):
         # a dead qubit that always reads +1 fits at the box edge and is flagged

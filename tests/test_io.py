@@ -319,6 +319,20 @@ class TestRawErrors:
             read_raw(path)
         assert f":{line}:" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ("101,x", "count 101 outside [0, 100] for qubit 3"),
+            ("x,101", "non-integer count 'x' for qubit 3"),
+        ],
+    )
+    def test_first_bad_count_in_column_order_is_named(self, tmp_path, cells, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"h,samples,spin_3,spin_7\n0.0,100,5,6\n0.1,100,{cells}\n")
+        with pytest.raises(FormatError) as exc:
+            read_raw(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
 
 class TestParamsTable:
     def make_results(self, converged=(1, 1, 1)):

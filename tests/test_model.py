@@ -64,6 +64,12 @@ class TestEffectiveField:
         for beta in (1.0, 10.0, 100.0):
             p = QubitParams(beta, 0, 0, 0)
             assert np.max(np.abs(effective_field(h, p) - beta * h)) <= 1e-12
+        # far into saturation, where 1 - T is below 1e-300 and only the
+        # halves keep h_eff exact; past beta*|h| ~ 372 it overflows
+        h = np.array(field_grid(-3.6, 3.6))
+        h = h[h != 0]
+        rel = effective_field(h, QubitParams(100.0, 0, 0, 0)) / (100.0 * h) - 1.0
+        assert np.max(np.abs(rel)) <= 1e-14
 
     def test_odd_symmetry_without_bias(self):
         h = np.linspace(-1, 1, 41)
