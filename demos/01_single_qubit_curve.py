@@ -25,7 +25,7 @@ design = SweepDesign(fields=field_grid(), samples_per_field=500_000, seed=7)
 counts = RawCounts(
     h=np.array(design.fields),
     samples=np.full(len(design.fields), design.samples_per_field, dtype=np.int64),
-    counts={305: sample_counts(truth, design, 305)},
+    counts=([305], [sample_counts(truth, design, 305)]),  # (ids, rows)
 )
 
 print("empirical effective-field curve (every 10th field):")

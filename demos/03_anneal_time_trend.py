@@ -8,19 +8,21 @@ against ln(t).
 
 import numpy as np
 
-from qasa import QubitParams, SweepDesign, field_grid, fit_chip, fit_log_trend, simulate_chip, sweep_point
+from qasa import SweepDesign, field_grid, fit_chip, fit_log_trend, simulate_chip, sweep_point
 from qasa.topology import ChimeraSpec
 
 spec = ChimeraSpec(grid=1)
 times_us = [1.0, 5.0, 25.0, 125.0]
 slope = 5.2 / np.log(125.0)  # beta climbs from 10.5 to 15.7 over the range
 
+ids = sorted(spec.operational)
 points = []
 for t in times_us:
     beta_t = 10.5 + slope * np.log(t)
-    truth = {q: QubitParams(beta_t, 0.0025, 0.0367, 0.0176) for q in spec.operational}
+    # the truth table: one (beta, b, eta, gamma) row per qubit id
+    theta = np.tile([beta_t, 0.0025, 0.0367, 0.0176], (len(ids), 1))
     design = SweepDesign(fields=field_grid(), samples_per_field=100_000, seed=int(t))
-    results, _ = fit_chip(simulate_chip(truth, design))
+    results, _ = fit_chip(simulate_chip((ids, theta), design))
     pt = sweep_point(t, results)
     points.append(pt)
     print(f"t={t:6.1f} us: chip-mean beta {pt.means['beta']:7.3f}"

@@ -38,7 +38,6 @@ from .data_io import (
     write_report,
 )
 from .estimator import CONFIDENCE, empirical_estimates, fit_chip
-from .model import QubitParams
 from .presets import PRESETS, preset_truth
 from .simulator import RawCounts, SweepDesign, field_grid, simulate_chip
 from .topology import ChimeraSpec, _chip_grid
@@ -73,9 +72,8 @@ def _load_truth(text, grid):
     if text.startswith("preset:"):
         return preset_truth(text[len("preset:"):], ChimeraSpec(grid=grid))
     fit = read_params(text)
-    ids = fit.ids.tolist()
-    ChimeraSpec(grid, operational=ids)  # every id must sit on the chip
-    return {q: QubitParams(*theta) for q, theta in zip(ids, fit.theta.tolist())}
+    ChimeraSpec(grid, operational=fit.ids.tolist())  # every id must sit on the chip
+    return fit.ids, fit.theta
 
 
 def _infer_spec(ids, chip, convention):
@@ -103,7 +101,7 @@ def cmd_fit(args):
         unknown = keep - set(counts.counts)
         if unknown:
             raise FormatError(f"qubits not in input: {sorted(unknown)}")
-        counts = RawCounts(counts.h, counts.samples, {q: counts.counts[q] for q in keep})
+        counts = RawCounts(counts.h, counts.samples, (list(keep), [counts.counts[q] for q in keep]))
     fit, _ = fit_chip(counts, workers=args.workers)
     write_params(fit, spec, args.out)
     print(f"qasa fit: {len(fit)} fitted, {np.count_nonzero(fit.flags)} flagged "

@@ -106,7 +106,7 @@ def read_raw(path) -> RawCounts:
     else:
         merged = np.zeros((h.size, table.shape[1]), dtype=np.int64)
         np.add.at(merged, row_of, table)
-    return RawCounts(h=h, samples=merged[:, 0], counts=dict(zip(ids, merged[:, 1:].T)))
+    return RawCounts(h=h, samples=merged[:, 0], counts=(ids, merged[:, 1:].T))
 
 
 def _parse_rows(fh, n_cells):
@@ -215,7 +215,7 @@ def raw_to_bytes(counts: RawCounts) -> bytes:
     `_decimal_rows`, to the bytes str() gives each cell; only the field
     cell is formatted per row."""
     header = "h,samples" + "".join(f",spin_{q}" for q in counts.qubit_ids) + "\n"
-    table = np.vstack([counts.samples, counts._table]).T
+    table = np.vstack([counts.samples, counts.table]).T
     rows = _decimal_rows(table)
     return b"".join([header.encode(), *(f"{format_field(h)},".encode() + row
                                         for h, row in zip(counts.h.tolist(), rows))])
@@ -342,6 +342,8 @@ def _read_param_rows(path, header):
         row = dict(zip(header, cells))
         try:
             q = _qubit_id(row["qubit_id"])
+            if q > np.iinfo(np.int64).max:
+                raise ValueError(f"qubit id {q} past the int64 range")
             theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
             _check_params(*theta)
             log_likelihood = float(row.get("log_likelihood") or "nan")

@@ -452,7 +452,8 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     unpacks the pair.  Needs at least 8 distinct fields covering both signs
     of h, and raises FitError for the whole sweep otherwise: with fewer
     points the noise and transverse terms are not identifiable.  A sweep
-    with enough fields but no qubits raises FitError too.
+    with enough fields but no qubits raises FitError too, as does a qubit
+    id of 2**63 or more, which the fit's int64 id column cannot hold.
 
     Qubits are fitted `_BLOCK` at a time in this process.  `workers` is
     accepted for compatibility and changes nothing: a result depends only
@@ -462,6 +463,8 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     ids = counts.qubit_ids
     if not ids:
         raise FitError("no qubits to fit")
+    if ids[-1] > np.iinfo(np.int64).max:
+        raise FitError(f"qubit id {ids[-1]} past the int64 range of a fit")
     n = len(ids)
     theta, ll, converged = np.empty((n, 4)), np.empty(n), np.empty(n, dtype=np.int8)
     m = counts.samples.astype(float)
@@ -469,7 +472,7 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     for start in range(0, n, _BLOCK):
         rows = slice(start, start + _BLOCK)
         # field-major: each qubit is a column
-        means = np.ascontiguousarray(((m - 2.0 * counts._table[rows]) / m).T)
+        means = np.ascontiguousarray(((m - 2.0 * counts.table[rows]) / m).T)
         theta[rows], ll[rows], converged[rows] = _fit_block(counts.h, weights, means, counts.samples)
     low_eta = theta[:, 2] < LOW_ETA
     # eta/gamma sitting on their natural zero floor is ordinary, not a
@@ -487,5 +490,5 @@ def fit_chip(counts: RawCounts, workers: int = 1):
 def fit_qubit(counts: RawCounts, qubit: int) -> FitResult:
     """Maximum-likelihood parameters of one qubit: `fit_chip` on its column."""
     _check_qubit(counts, qubit)
-    fit, _ = fit_chip(RawCounts(counts.h, counts.samples, {qubit: counts.counts[qubit]}))
+    fit, _ = fit_chip(RawCounts(counts.h, counts.samples, ([qubit], [counts.counts[qubit]])))
     return fit[qubit]

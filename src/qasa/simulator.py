@@ -15,13 +15,14 @@ qubit: building a Philox cost nearly as much as drawing its qubit's fields.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .model import QubitParams, _mixture, _theta
+from .model import QubitParams, _check_param_table, _mixture, _theta
 
 
 class DesignError(ValueError):
@@ -90,13 +91,17 @@ def default_sweep() -> SweepDesign:
 class RawCounts:
     """Per-field -1 tallies for a set of qubits; read-only once built.
 
-    h and samples are 1-d arrays over fields; counts maps qubit id to an
-    array of -1 counts aligned with h, in ascending id order.  Each column
-    is a row of one (qubit, field) int64 table, stored in that order, so a
-    run of consecutive ids is a slice of it.  The table, h and samples are
-    read-only copies, and counts is a read-only mapping, so a column can
-    only be set by building a new RawCounts, which checks it.  Every field
-    has at least one sample.
+    h and samples are 1-d arrays over fields.  counts is given as the table
+    (ids, rows), one row of -1 counts aligned with h per qubit id, or as a
+    Mapping of id to row, a form kept for the benchmark harness until it
+    passes the table.  Either is stored as `table`, one read-only,
+    C-contiguous (qubit, field) int64 array whose rows are in ascending id
+    order, so a run of consecutive ids is a slice of it; ids are Python
+    ints, as the simulator's 64-bit ids do not fit an int64.  counts then
+    maps each id to its row, a read-only view of `table`.  h and samples
+    are read-only copies too, so a row can only be set by building a new
+    RawCounts, which checks it.  Every field has at least one sample, and
+    no id appears twice.
     """
 
     h: np.ndarray
@@ -112,11 +117,19 @@ class RawCounts:
             raise ValueError(f"samples has shape {samples.shape}, h has {h.shape}")
         if np.any(samples < 1):
             raise ValueError(f"samples must be >= 1 per field, got {samples.min()}")
-        ids = list(self.counts)
-        wrong = [q for q, c in self.counts.items() if np.shape(c) != h.shape]
-        if wrong:
-            raise ValueError(f"count column for qubit {wrong[0]} has wrong length")
-        table = np.array(list(self.counts.values()), dtype=np.int64).reshape(len(ids), h.size)
+        counts = self.counts
+        if isinstance(counts, Mapping):
+            wrong = [q for q, c in counts.items() if np.shape(c) != h.shape]
+            if wrong:
+                raise ValueError(f"count row for qubit {wrong[0]} has wrong length")
+            counts = list(counts), list(counts.values()) or np.empty((0, h.size))
+        ids, rows = counts
+        ids = [operator.index(q) for q in ids]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate qubit id in counts")
+        table = np.array(rows, dtype=np.int64, order="C")
+        if table.shape != (len(ids), h.size):
+            raise ValueError(f"count table has shape {table.shape}, expected {(len(ids), h.size)}")
         outside = np.any((table < 0) | (table > samples), axis=1)
         if outside.any():
             raise ValueError(f"counts for qubit {ids[outside.argmax()]} outside [0, samples]")
@@ -128,7 +141,7 @@ class RawCounts:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "counts", MappingProxyType(dict(zip(ids, table))))
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "table", table)
 
     @property
     def qubit_ids(self):
@@ -141,9 +154,10 @@ class RawCounts:
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _draw(p_minus, design: SweepDesign, ids) -> list:
+def _draw(p_minus, design: SweepDesign, ids) -> np.ndarray:
     """One binomial -1 tally per field of each row of `p_minus`, drawn in
-    field order from the stream of its qubit id in `ids`.
+    field order from the stream of its qubit id in `ids`; the tallies are
+    a (qubit, field) int64 table, one row per id.
 
     The stream of id q is that of a new ``Philox(key=[seed, q])``, both
     taken mod 2**64 so the key holds all 64 bits of each.  One bit generator
@@ -158,15 +172,15 @@ def _draw(p_minus, design: SweepDesign, ids) -> list:
     bitgen = np.random.Philox(0)  # a fixed seed draws no OS entropy; every qubit re-keys it
     rng = np.random.Generator(bitgen)
     seed = int(design.seed) & _MASK64
-    columns = []
-    for q, pm in zip(ids, p_minus):
+    table = np.empty(np.shape(p_minus), dtype=np.int64)
+    for q, pm, row in zip(ids, p_minus, table):
         bitgen.state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [seed, int(q) & _MASK64]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        columns.append(rng.binomial(design.samples_per_field, pm).astype(np.int64, copy=False))
-    return columns
+        row[:] = rng.binomial(design.samples_per_field, pm)
+    return table
 
 
 def _p_minus(theta, design: SweepDesign):
@@ -181,26 +195,34 @@ def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.nd
     return _draw(_p_minus(_theta(p), design), design, [stream_key])[0]
 
 
-def simulate_chip(truth: dict, design: SweepDesign, operational=None) -> RawCounts:
+def simulate_chip(truth, design: SweepDesign, operational=None) -> RawCounts:
     """Sample a whole chip.
 
-    truth maps qubit id -> QubitParams.  If `operational` (an id iterable) is
-    given, truth must cover it exactly; extra truth entries are ignored.
-    Every qubit's spin means come from one kernel call; each qubit then draws
-    its fields in order from its own (seed, qubit id) stream, so its column
-    does not depend on which other qubits are simulated with it.
+    truth is the parameter table (ids, theta): qubit ids, Python or numpy
+    ints, and theta (Q, 4), each row the (beta, b, eta, gamma) of its id,
+    as `preset_truth` gives and `read_params`' ids and theta columns hold.
+    A Mapping of id to QubitParams is taken too, for the benchmark harness,
+    until it passes the table.  If `operational` (an id iterable) is given,
+    truth must cover it, and only its ids are drawn; other truth rows are
+    ignored.  Every qubit's spin means come from one kernel call; each
+    qubit then draws its fields in order from its own (seed, qubit id)
+    stream, so its row does not depend on which other qubits are simulated
+    with it.
     """
-    if operational is None:
-        ids = sorted(truth)
-    else:
-        ids = sorted(operational)
-        missing = set(ids) - set(truth)
+    if isinstance(truth, Mapping):
+        truth = sorted(truth), np.array([truth[q].astuple() for q in sorted(truth)]).reshape(-1, 4)
+    ids, theta = truth[0], np.asarray(truth[1], dtype=float)
+    if theta.shape != (len(ids), 4):
+        raise ValueError(f"truth theta has shape {theta.shape}, expected {(len(ids), 4)}")
+    _check_param_table(theta)
+    if operational is not None:
+        keep = set(operational)
+        missing = keep.difference(ids)
         if missing:
             raise CoverageError(missing)
-    n = len(design.fields)
-    samples = np.full(n, design.samples_per_field, dtype=np.int64)
-    theta = np.array([truth[q].astuple() for q in ids]).reshape(-1, 4)
+        rows = [i for i, q in enumerate(ids) if q in keep]
+        ids, theta = [ids[i] for i in rows], theta[rows]
     # qubit-major: (4, Q, 1) parameters against (F,) fields give (Q, F)
     p_minus = _p_minus(theta.T[:, :, None], design)
-    counts = dict(zip(ids, _draw(p_minus, design, ids)))
-    return RawCounts(h=np.array(design.fields), samples=samples, counts=counts)
+    samples = np.full(len(design.fields), design.samples_per_field, dtype=np.int64)
+    return RawCounts(np.array(design.fields), samples, (ids, _draw(p_minus, design, ids)))

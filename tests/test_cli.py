@@ -13,7 +13,9 @@ from qasa.analysis import AnalysisError, AnnealSweepPoint
 from qasa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from qasa.data_io import read_raw, write_raw
 from qasa.estimator import empirical_estimates
+from qasa.presets import preset_truth
 from qasa.simulator import RawCounts
+from qasa.topology import ChimeraSpec
 
 
 def run(argv):
@@ -169,6 +171,19 @@ class TestSimulate:
         ]) == EXIT_DATA
         assert capsys.readouterr().err == "qasa: qubit ids out of range [0, 8): [100]\n"
         assert list(tmp_path.iterdir()) == [truth]
+
+    def test_preset_and_a_file_of_its_table_draw_the_same_file(self, tmp_path):
+        ids, theta = preset_truth("hv-split", ChimeraSpec(grid=2))
+        truth = tmp_path / "truth.csv"
+        truth.write_text("qubit_id,beta,b,eta,gamma\n" + "".join(
+            f"{q},{','.join(map(repr, row))}\n" for q, row in zip(ids, theta.tolist())))
+        drawn = []
+        for i, source in enumerate(("preset:hv-split", str(truth))):
+            out = tmp_path / f"raw_{i}.csv"
+            assert run(["simulate", "--chip", "chimera:2", "--truth", source,
+                        "--samples", "1000", "--seed", str(2**64 - 1), "--out", str(out)]) == EXIT_OK
+            drawn.append(out.read_bytes())
+        assert drawn[0] == drawn[1]
 
     @pytest.mark.parametrize("flag, value", [
         ("--h-step", "0"), ("--h-step", "nan"), ("--h-max", "inf"), ("--h-min", "-inf"),
@@ -679,3 +694,42 @@ class TestInProcess:
         monkeypatch.setattr(cli, "cmd_estimate", wrapped)
         assert main(argv) == EXIT_OK
         assert wrapped.call_count == 1
+
+
+class TestIdsPastInt64:
+    # ids from 2**63 up draw their own 64-bit streams and round-trip a raw
+    # file, but a fit's id column is int64
+
+    BIG = 2**63
+
+    def test_params_id_names_its_line(self, tmp_path, capsys):
+        params = tmp_path / "big.csv"
+        params.write_text(f"qubit_id,beta,b,eta,gamma\n0,10.5,0,0.03,0.02\n{self.BIG},10.5,0,0.03,0.02\n")
+        sets = tmp_path / "sets.csv"
+        sets.write_text("anneal_time_us,params_file\n1,big.csv\n2,big.csv\n")
+        for argv in (
+            ["analyze", "--params", str(params), "--chip", "chimera:1"],
+            ["simulate", "--chip", "chimera:1", "--truth", str(params)],
+            ["sweep", "--manifest", str(sets), "--parameter", "beta"],
+        ):
+            assert run(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
+            assert capsys.readouterr().err == f"qasa: {params}:3: qubit id {self.BIG} past the int64 range\n"
+        assert sorted(tmp_path.iterdir()) == [params, sets]
+
+    def raw_file(self, path, q):
+        path.write_text(f"h,samples,spin_0,spin_{q}\n" + "".join(f"{h},100,50,40\n" for h in np.linspace(-1, 1, 9)))
+        return path
+
+    def test_raw_column_id_is_no_fit(self, tmp_path, capsys):
+        raw = self.raw_file(tmp_path / "raw.csv", self.BIG)
+        assert run(["fit", "--in", str(raw), "--out", str(tmp_path / "p.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: qubit id {self.BIG} past the int64 range of a fit\n"
+        assert list(tmp_path.iterdir()) == [raw]
+
+    def test_raw_column_id_reads_and_estimates(self, tmp_path):
+        q = 2**64 - 1
+        raw = self.raw_file(tmp_path / "raw.csv", q)
+        assert read_raw(raw).qubit_ids == [0, q]
+        out = tmp_path / "curve.csv"
+        assert run(["estimate", "--in", str(raw), "--qubit", str(q), "--out", str(out)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 10

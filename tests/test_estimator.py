@@ -573,7 +573,7 @@ class TestFieldMajorEvaluation:
         counts = MIXED_CHIP
         h, m = counts.h, counts.samples.astype(float)
         w = m / m.sum()
-        means = (m - 2.0 * counts._table[np.arange(len(theta)) % 12]) / m  # (Q, F)
+        means = (m - 2.0 * counts.table[np.arange(len(theta)) % 12]) / m  # (Q, F)
         ll, score, info = estimator._objective(h, theta, np.ascontiguousarray(means.T), w)
         # the same terms laid out qubit-major, summed by the reference
         om, op, dT = _mixture(h, theta.T[:, :, None], grad=True)

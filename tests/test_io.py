@@ -424,6 +424,7 @@ class TestParamsTable:
             ("qubit_id,beta,b,eta,gamma,total_samples", "1,10,0.0,0.03,0.01,1.5"),
             ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,9223372036854775808"),
             ("qubit_id,beta,b,eta,gamma,n_points", "1,10,0.0,0.03,0.01,-9223372036854775808"),
+            ("qubit_id,beta,b,eta,gamma", "9223372036854775808,10,0.0,0.03,0.01"),
             # loadtxt would split the quoted cell into the two cells csv counts as one
             ("qubit_id,beta,b,eta,gamma,note,other", '1,10,0.0,0.03,0.01,"a,b"'),
         ],

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qasa import QubitParams, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
+from qasa import (
+    QubitParams, SweepDesign, default_sweep, field_grid, read_raw, sample_counts, simulate_chip, write_raw,
+)
 from qasa.model import _theta
+from qasa.presets import HV_HORIZONTAL, HV_VERTICAL, MEDIAN, preset_truth
 from qasa.simulator import MAX_FIELDS, CoverageError, DesignError, RawCounts, _p_minus
-from qasa.topology import ChimeraSpec
+from qasa.topology import ChimeraSpec, sites
 
 
 def make_design(m, seed=0, fields=None):
@@ -296,3 +299,80 @@ class TestRekeyedStream:
         for q in ids:
             assert np.array_equal(chip.counts[q], fresh_stream(d.seed, q, n, pm))
         assert len({int(chip.counts[q][0]) for q in ids}) > 1
+
+
+class TestParameterTable:
+    # truth reaches the simulator as (ids, theta), and RawCounts holds one table
+
+    def test_mapping_and_table_truth_draw_the_same_counts(self):
+        ids = sorted(SPLIT_TRUTH)
+        theta = np.array([SPLIT_TRUTH[q].astuple() for q in ids])
+        for operational in (None, SPLIT_IDS[3:], SPLIT_IDS[::-2]):
+            a = simulate_chip(SPLIT_TRUTH, SPLIT_DESIGN, operational)
+            # rows in any order: a row goes with its id
+            b = simulate_chip((ids[::-1], theta[::-1]), SPLIT_DESIGN, operational)
+            assert a.qubit_ids == b.qubit_ids == sorted(operational or SPLIT_IDS)
+            assert all(type(q) is int for q in b.qubit_ids)
+            for name in ("h", "samples", "table"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(b.counts[2**64 - 1], SPLIT_CHIP.counts[2**64 - 1])
+
+    def test_table_truth_is_checked(self):
+        d = make_design(100)
+        with pytest.raises(CoverageError):
+            simulate_chip(([0, 1], np.full((2, 4), 0.5)), d, operational=[0, 2])
+        with pytest.raises(ValueError, match="beta must be positive"):
+            simulate_chip(([0, 1], [[10.0, 0, 0, 0], [-1.0, 0, 0, 0]]), d)
+        with pytest.raises(ValueError, match=r"truth theta has shape \(4, 2\)"):
+            simulate_chip(([0, 1], np.ones((4, 2))), d)
+
+    def test_table_counts(self):
+        h, samples = np.array([0.0, 0.5]), np.array([10, 20])
+        rows = np.asfortranarray([[1, 2], [3, 4], [5, 6]])
+        counts = RawCounts(h, samples, (np.array([7, 3, 9], dtype=np.uint64), rows))
+        assert counts.qubit_ids == [3, 7, 9] and all(type(q) is int for q in counts.qubit_ids)
+        assert counts.table.tolist() == [[3, 4], [1, 2], [5, 6]]
+        assert counts.table.flags.c_contiguous and not counts.table.flags.writeable
+        assert np.shares_memory(counts.counts[9], counts.table)
+        mapped = RawCounts(h, samples, {q: rows[i] for i, q in enumerate((7, 3, 9))})
+        assert np.array_equal(mapped.table, counts.table)
+        rows[0, 0] = 0  # the caller's table is copied
+        assert counts.counts[7].tolist() == [1, 2]
+        # an already sorted C-order table is copied too
+        rows = np.array([[1, 2], [3, 4]])
+        counts = RawCounts(h, samples, ([3, 7], rows))
+        rows[0, 0] = 0
+        assert counts.counts[3].tolist() == [1, 2] and rows.flags.writeable
+
+    def test_read_raw_table_is_c_contiguous(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_raw(SPLIT_CHIP, path)
+        back = read_raw(path)
+        assert back.table.flags.c_contiguous and not back.table.flags.writeable
+        assert np.array_equal(back.table, SPLIT_CHIP.table) and back.qubit_ids == list(SPLIT_IDS)
+
+    @pytest.mark.parametrize("ids, rows", [
+        ([3, 3], [[1, 2], [3, 4]]),  # a duplicate id
+        ([3, 7], [[1, 2]]),  # fewer rows than ids
+        ([3], [[1, 2], [3, 4]]),  # more rows than ids
+        ([3, 7], np.zeros((2, 3), dtype=int)),  # rows longer than h
+        ([3, 7], np.zeros(4, dtype=int)),  # one flat row
+        ([3, 7], np.zeros((2, 2, 1), dtype=int)),
+    ])
+    def test_table_counts_rejected(self, ids, rows):
+        with pytest.raises(ValueError):
+            RawCounts(np.array([0.0, 0.5]), np.array([10, 20]), (ids, rows))
+
+
+class TestPresets:
+    def test_preset_rows_follow_orientation(self):
+        spec = ChimeraSpec(grid=2, operational=[13, 0, 4, 31, 9])
+        ids, theta = preset_truth("hv-split", spec)
+        assert ids == [0, 4, 9, 13, 31]
+        vertical = sites(ids, spec)[3]
+        assert theta.tolist() == [list((HV_VERTICAL if v else HV_HORIZONTAL).astuple()) for v in vertical]
+        ids, theta = preset_truth("median", spec)
+        assert theta.tolist() == [list(MEDIAN.astuple())] * 5
+        assert preset_truth("median", ChimeraSpec(grid=1, operational=[]))[1].shape == (0, 4)
+        with pytest.raises(ValueError, match="unknown preset 'flat'"):
+            preset_truth("flat", spec)
