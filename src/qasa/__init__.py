@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 from .model import (
     ParameterError,
@@ -20,7 +20,6 @@ from .estimator import (
     FLAGS,
     ChipFit,
     EffectiveFieldEstimate,
-    FitResult,
     empirical_estimates,
     fit_chip,
     fit_qubit,

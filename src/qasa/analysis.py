@@ -19,6 +19,9 @@ PARAMETERS = ("beta", "b", "eta", "gamma")
 
 SCHEMA_VERSION = 1
 
+# histogram bins of every distribution summary
+BINS = 50
+
 
 class AnalysisError(ValueError):
     pass
@@ -66,11 +69,11 @@ def _column(parameter):
     return PARAMETERS.index(parameter)
 
 
-def _summary(parameter, ids, vals, bins):
+def _summary(parameter, ids, vals):
     q1, q3 = np.percentile(vals, [25, 75])
     iqr = q3 - q1
     outliers = ids[(vals < q1 - 3.0 * iqr) | (vals > q3 + 3.0 * iqr)]
-    counts, edges = np.histogram(vals, bins=bins)
+    counts, edges = np.histogram(vals, bins=BINS)
     return DistributionSummary(
         parameter=parameter,
         count=vals.size,
@@ -83,7 +86,7 @@ def _summary(parameter, ids, vals, bins):
     )
 
 
-def summarize(fit: ChipFit, parameter: str, bins: int = 50) -> DistributionSummary:
+def summarize(fit: ChipFit, parameter: str) -> DistributionSummary:
     """Distribution summary of one parameter over a fitted chip.
 
     Median uses the midpoint rule for even counts; outliers lie beyond
@@ -91,10 +94,10 @@ def summarize(fit: ChipFit, parameter: str, bins: int = 50) -> DistributionSumma
     """
     if not len(fit):
         raise AnalysisError("no fit results to summarize")
-    return _summary(parameter, fit.ids, fit.theta[:, _column(parameter)], bins)
+    return _summary(parameter, fit.ids, fit.theta[:, _column(parameter)])
 
 
-def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str, bins: int = 50):
+def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str):
     """(horizontal, vertical) summaries of one parameter; a side with no
     fitted qubit is None."""
     unknown = set(fit.ids.tolist()) - spec.operational
@@ -103,7 +106,7 @@ def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str, bins: int
     vals = fit.theta[:, _column(parameter)]
     vertical = sites(fit.ids, spec)[3]
     return tuple(
-        _summary(parameter, fit.ids[side], vals[side], bins) if side.any() else None
+        _summary(parameter, fit.ids[side], vals[side]) if side.any() else None
         for side in (~vertical, vertical)
     )
 
@@ -135,14 +138,14 @@ def fit_log_trend(points, parameter: str) -> TrendFit:
     return TrendFit(c0=float(c0), c1=float(c1), residual_rms=float(np.sqrt(np.mean(resid**2))))
 
 
-def build_report(fit: ChipFit, spec: ChimeraSpec, bins: int = 50) -> dict:
+def build_report(fit: ChipFit, spec: ChimeraSpec) -> dict:
     """Full analysis document: summaries, H/V splits, and heatmap records.
     A split side with no fitted qubit is null."""
     report = {"schema_version": SCHEMA_VERSION, "n_qubits": len(fit)}
-    report["summaries"] = {p: summarize(fit, p, bins).to_dict() for p in PARAMETERS}
+    report["summaries"] = {p: summarize(fit, p).to_dict() for p in PARAMETERS}
     splits = {}
     for p in PARAMETERS:
-        sides = orientation_split(fit, spec, p, bins)
+        sides = orientation_split(fit, spec, p)
         splits[p] = {k: s.to_dict() if s else None for k, s in zip(("horizontal", "vertical"), sides)}
     report["orientation_splits"] = splits
     report["heatmaps"] = {p: spatial_report(fit, spec, p) for p in PARAMETERS}

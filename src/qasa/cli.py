@@ -76,12 +76,12 @@ def _load_truth(text, grid):
     return fit.ids, fit.theta
 
 
-def _infer_spec(ids, chip, convention):
+def _infer_spec(ids, chip):
     """The chip that places every id: `chip` when given, which must hold
     them all, else the smallest Chimera grid that does: n cells a side
     hold ids up to 8n^2 - 1."""
     n = _chip_grid(chip) if chip else math.isqrt(max(ids, default=0) // 8) + 1
-    return ChimeraSpec(grid=n, operational=frozenset(ids), vertical_low_k=(convention == "vertical-low-k"))
+    return ChimeraSpec(grid=n, operational=frozenset(ids))
 
 
 def cmd_simulate(args):
@@ -95,7 +95,7 @@ def cmd_fit(args):
     started = time.monotonic()
     counts = read_raw(args.infile)
     # layout columns come from the whole file, so a subset keeps its sites
-    spec = _infer_spec(counts.qubit_ids, args.chip, args.orientation_convention)
+    spec = _infer_spec(counts.qubit_ids, args.chip)
     if args.qubits:
         keep = set(args.qubits)
         unknown = keep - set(counts.counts)
@@ -121,8 +121,8 @@ def cmd_estimate(args):
 
 def cmd_analyze(args):
     fit = read_params(args.params)
-    spec = _infer_spec(fit.ids.tolist(), args.chip, args.orientation_convention)
-    write_report(build_report(fit, spec, bins=args.bins), args.out)
+    spec = _infer_spec(fit.ids.tolist(), args.chip)
+    write_report(build_report(fit, spec), args.out)
 
 
 def cmd_sweep(args):
@@ -167,8 +167,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qasa", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    orientation = dict(choices=["vertical-low-k", "horizontal-low-k"], default="vertical-low-k",
-                       help="which intra-cell index half is vertical (default vertical-low-k)")
 
     p = sub.add_parser("simulate", help="generate synthetic raw counts for a chip")
     p.add_argument("--chip", required=True, help="chip spec, e.g. chimera:16")
@@ -191,7 +189,6 @@ def build_parser() -> _Parser:
                         "(default: the smallest Chimera grid that holds every id)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; the output is identical for any value")
-    p.add_argument("--orientation-convention", **orientation)
 
     p = sub.add_parser("estimate", help="empirical effective-field curve for one qubit")
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")
@@ -204,8 +201,6 @@ def build_parser() -> _Parser:
     p.add_argument("--params", required=True, help="input params CSV")
     p.add_argument("--chip", required=True, help="chip spec, e.g. chimera:16")
     p.add_argument("--out", required=True, help="output report JSON path")
-    p.add_argument("--bins", type=int, default=50, help="histogram bins (default 50)")
-    p.add_argument("--orientation-convention", **orientation)
 
     p = sub.add_parser("sweep", help="trend of a parameter across anneal-time datasets")
     p.add_argument("--manifest", required=True,

@@ -40,15 +40,13 @@ does not depend on which qubits share its block, and a qubit that has
 converged is not evaluated again.
 
 `fit_chip` writes each block's results straight into the columns of one
-`ChipFit`, the only form a fitted chip takes on its way to the params
-table and the chip report; a per-qubit `FitResult` is built only when one
-row is looked up.
+`ChipFit`, the only form a fit takes: on its way to the params table and
+the chip report, and from `fit_qubit` as a table of one row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -120,32 +118,17 @@ class EffectiveFieldEstimate:
     samples: int
 
 
-@dataclass(frozen=True)
-class FitResult:
-    params: QubitParams
-    log_likelihood: float
-    converged: bool | None  # None: unknown, as read from a table without it
-    n_points: int
-    total_samples: int
-    flags: tuple = field(default=())
-
-
 # bit i of ChipFit.flags is FLAGS[i]
 FLAGS = ("low_eta", "at_bound", "fields_outside_unit")
-# ChipFit.converged codes
-_CONVERGED = {1: True, 0: False, -1: None}
 
 
 @dataclass(frozen=True, eq=False)
-class ChipFit(Mapping):
+class ChipFit:
     """A fitted chip as read-only columns, one row per qubit in ascending
     id order: ids (Q,), theta (Q, 4) holding (beta, b, eta, gamma),
     log_likelihood, converged (int8: 1 true, 0 false, -1 unknown),
     n_points, total_samples, and flags (uint8, bit i set for FLAGS[i]).
-
-    It is also a read-only mapping of qubit id to FitResult; `fit[q]`
-    builds that row's FitResult when asked.  The arrays given are copied,
-    and the rows sorted by id.
+    The arrays given are copied, and the rows sorted by id.
     """
 
     ids: np.ndarray
@@ -176,33 +159,6 @@ class ChipFit(Mapping):
             a = a[order]
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-
-    def _row(self, qubit):
-        i = int(np.searchsorted(self.ids, qubit))
-        if i == self.ids.size or self.ids[i] != qubit:
-            raise KeyError(qubit)
-        return i
-
-    def __getitem__(self, qubit) -> FitResult:
-        i = self._row(qubit)
-        return FitResult(
-            QubitParams(*self.theta[i].tolist()),
-            float(self.log_likelihood[i]),
-            _CONVERGED[int(self.converged[i])],
-            int(self.n_points[i]),
-            int(self.total_samples[i]),
-            tuple(name for bit, name in enumerate(FLAGS) if self.flags[i] >> bit & 1),
-        )
-
-    def __contains__(self, qubit):  # without building a FitResult
-        try:
-            self._row(qubit)
-        except KeyError:
-            return False
-        return True
-
-    def __iter__(self):
-        return iter(self.ids.tolist())
 
     def __len__(self):
         return self.ids.size
@@ -487,8 +443,8 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     return fit, {}
 
 
-def fit_qubit(counts: RawCounts, qubit: int) -> FitResult:
-    """Maximum-likelihood parameters of one qubit: `fit_chip` on its column."""
+def fit_qubit(counts: RawCounts, qubit: int) -> ChipFit:
+    """Maximum-likelihood parameters of one qubit: the one-row ChipFit that
+    `fit_chip` gives for its column."""
     _check_qubit(counts, qubit)
-    fit, _ = fit_chip(RawCounts(counts.h, counts.samples, ([qubit], [counts.counts[qubit]])))
-    return fit[qubit]
+    return fit_chip(RawCounts(counts.h, counts.samples, ([qubit], [counts.counts[qubit]])))[0]

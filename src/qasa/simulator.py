@@ -87,7 +87,7 @@ def default_sweep() -> SweepDesign:
     return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawCounts:
     """Per-field -1 tallies for a set of qubits; read-only once built.
 
@@ -101,7 +101,8 @@ class RawCounts:
     maps each id to its row, a read-only view of `table`.  h and samples
     are read-only copies too, so a row can only be set by building a new
     RawCounts, which checks it.  Every field has at least one sample, and
-    no id appears twice.
+    no id appears twice.  `==` is identity, as for ChipFit: compare the
+    arrays to compare two counts.
     """
 
     h: np.ndarray

@@ -2,9 +2,8 @@
 
 A Chimera chip is an n x n grid of unit cells with 8 qubits each, 4 oriented
 vertically and 4 horizontally.  Linear qubit ids follow
-id = 8*(n*row + col) + k with k in [0, 8).  Which half of k maps to which
-orientation varies between devices, so the convention is a flag.  `sites`
-decodes a whole array of ids at once.
+id = 8*(n*row + col) + k with k in [0, 8); k < 4 is vertical and k >= 4
+horizontal.  `sites` decodes a whole array of ids at once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ class ChimeraSpec:
 
     grid: int
     operational: frozenset = None
-    vertical_low_k: bool = True  # k in {0..3} vertical when True
 
     def __post_init__(self):
         if self.grid < 1:
@@ -53,7 +51,7 @@ def sites(ids, spec: ChimeraSpec):
         raise TopologyError(f"qubit ids outside [0, {spec.capacity}): {ids[bad][:10].tolist()}")
     cell, k = np.divmod(ids, 8)
     row, col = np.divmod(cell, spec.grid)
-    return row, col, k, (k < 4) == spec.vertical_low_k
+    return row, col, k, k < 4
 
 
 def heatmap_grid(values: dict, spec: ChimeraSpec):

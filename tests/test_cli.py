@@ -267,6 +267,13 @@ class TestFit:
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "5"
 
+    def test_unknown_qubit_selection(self, mini_run, tmp_path, capsys):
+        _, raw, _ = mini_run
+        out = tmp_path / "sel.csv"
+        assert run(["fit", "--in", str(raw), "--out", str(out), "--qubits", "5", "99", "42"]) == EXIT_DATA
+        assert capsys.readouterr().err == "qasa: qubits not in input: [42, 99]\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_qubit_subset_keeps_layout(self, tmp_path):
         # on a 3x3-cell chip qubit 16 sits at row 0, col 2; its ids alone
         # would fit a 2x2 grid, where it would land at row 1, col 0
@@ -353,12 +360,12 @@ class TestFit:
     def test_infer_spec_matches_the_grid_search(self):
         from qasa.cli import _infer_spec
 
-        assert _infer_spec([], None, "vertical-low-k").grid == 1
+        assert _infer_spec([], None).grid == 1
         n = 1
         for top in range(200_001):
             while 8 * n * n <= top:  # the smallest grid whose 8n^2 ids reach top
                 n += 1
-            assert _infer_spec([top], None, "vertical-low-k").grid == n, top
+            assert _infer_spec([top], None).grid == n, top
 
     def test_huge_qubit_id_places_at_once(self, mini_run, tmp_path):
         # a grid search would step 353553391 times to place this id
@@ -457,6 +464,15 @@ class TestEstimate:
         for e, row in zip(empirical_estimates(read_raw(raw), 0), cells):
             assert [float(c) for c in row[3:]] == [e.ci_low, e.ci_high]
 
+    def test_confidence_outside_the_unit_interval(self, mini_run, tmp_path, capsys):
+        _, raw, _ = mini_run
+        out = tmp_path / "x.csv"
+        assert run([
+            "estimate", "--in", str(raw), "--qubit", "0", "--confidence", "1.5", "--out", str(out),
+        ]) == EXIT_DATA
+        assert capsys.readouterr().err == "qasa: confidence must be in (0, 1), got 1.5\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_qubit(self, mini_run, tmp_path):
         _, raw, _ = mini_run
         assert run([
@@ -533,6 +549,35 @@ class TestSweep:
             line.split(",", 1) for line in out.read_text().splitlines() if line.startswith("trend")
         )
         assert float(lines["trend_c1"]) == pytest.approx(5.2 / np.log(125), abs=1e-12)
+
+    def test_wrong_header(self, tmp_path, capsys):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params\n1,p1.csv\n2,p1.csv\n")
+        out = tmp_path / "t.csv"
+        assert run(["sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == \
+            f"qasa: {manifest}:1: header must be 'anneal_time_us,params_file'\n"
+        assert not out.exists()
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        for t, beta in ((1, 10.5), (125, 15.7)):
+            self.write_params_file(tmp_path / f"p{t}.csv", beta)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n\n125,p125.csv\n\n")
+        out = tmp_path / "trend.csv"
+        assert run(["sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out)]) == EXIT_OK
+        times = [line.split(",")[0] for line in out.read_text().splitlines()[1:3]]
+        assert times == ["1.0", "125.0"]
+
+    def test_non_numeric_time_names_its_line(self, tmp_path, capsys):
+        self.write_params_file(tmp_path / "p1.csv", 10.5)
+        manifest = tmp_path / "sets.csv"
+        manifest.write_text("anneal_time_us,params_file\n1,p1.csv\n\nsoon,p1.csv\n")
+        out = tmp_path / "t.csv"
+        assert run(["sweep", "--manifest", str(manifest), "--parameter", "beta", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {manifest}:4: bad anneal time 'soon'\n"
+        assert not out.exists()
 
     def test_one_cell_row(self, tmp_path, capsys):
         self.write_params_file(tmp_path / "p1.csv", 10.5)

@@ -320,6 +320,22 @@ class TestRawErrors:
         assert f":{line}:" in str(exc.value)
 
     @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("", "1: empty file"),
+            ("h,samples,spin_3,spin_7,spin_3\n0.0,100,5,6,7\n", "1: duplicate spin columns"),
+            ("h,samples,spin_3,spin_03\n0.0,100,5,6\n", "1: duplicate spin columns"),
+            ("h,samples,spin_3\n0.0,100,5\n0.1,0,0\n", "3: samples must be positive, got 0"),
+        ],
+    )
+    def test_file_errors_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(FormatError) as exc:
+            read_raw(path)
+        assert str(exc.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
         "cells,message",
         [
             ("101,x", "count 101 outside [0, 100] for qubit 3"),
@@ -353,11 +369,10 @@ class TestParamsTable:
         results = self.make_results()
         write_params(results, spec, path)
         again = read_params(path)
-        assert sorted(again) == [0, 5, 17]
-        for q in again:
-            assert again[q].params == results[q].params
-            assert again[q].log_likelihood == results[q].log_likelihood
-            assert again[q].converged
+        assert again.ids.tolist() == [0, 5, 17]
+        assert np.array_equal(again.theta, results.theta)
+        assert np.array_equal(again.log_likelihood, results.log_likelihood)
+        assert np.all(again.converged == 1)
 
     def test_chip_fit_round_trips_column_by_column(self, tmp_path):
         truth = {q: QubitParams(10.54 + 0.1 * q, 0.0025, 0.0367, 0.0176) for q in (3, 8, 12, 30)}
@@ -384,8 +399,9 @@ class TestParamsTable:
         path = tmp_path / "truth.csv"
         path.write_text("qubit_id,beta,b,eta,gamma\n0,10.54,0.0025,0.0367,0.0176\n")
         results = read_params(path)
-        assert results[0].params == QubitParams(10.54, 0.0025, 0.0367, 0.0176)
-        assert results[0].converged is None
+        assert results.ids.tolist() == [0]
+        assert QubitParams(*results.theta[0]) == QubitParams(10.54, 0.0025, 0.0367, 0.0176)
+        assert results.converged[0] == -1  # unknown
 
     def test_converged_round_trips_unknown(self, tmp_path):
         spec = ChimeraSpec(grid=2)
@@ -394,7 +410,8 @@ class TestParamsTable:
         write_params(results, spec, path)
         assert path.read_text().splitlines()[2].split(",")[8] == ""
         again = read_params(path)
-        assert [again[q].converged for q in (0, 5, 17)] == [True, None, False]
+        assert again.ids.tolist() == [0, 5, 17]
+        assert again.converged.tolist() == [1, -1, 0]
 
     def test_rejects_unknown_converged_cell(self, tmp_path):
         path = tmp_path / "params.csv"

@@ -195,6 +195,13 @@ class TestSimulateChip:
             a[0] = 0
         assert counts.counts[7].tolist() == [1, 2] and counts.samples.tolist() == [10, 20]
 
+    def test_equality_is_identity(self):
+        # the generated == would compare the array fields inside a tuple
+        # and raise on their ambiguous truth value
+        a = RawCounts(np.array([0.0, 0.5]), np.array([10, 20]), {3: [1, 2]})
+        b = RawCounts(np.array([0.0, 0.5]), np.array([10, 20]), {3: [1, 2]})
+        assert (a == b) is False and (a == a) is True and (a != b) is True
+
     def test_matches_per_qubit_sampling(self):
         # the chip's one batched kernel call draws what sample_counts draws
         rng = np.random.default_rng(12)

@@ -46,19 +46,14 @@ class TestSiteOf:
         assert np.array_equal(8 * (n * row + col) + k, np.arange(spec.capacity))
         assert len(set(zip(row.tolist(), col.tolist(), k.tolist()))) == spec.capacity
 
-    def test_convention_flip(self):
-        flipped = ChimeraSpec(grid=16, vertical_low_k=False)
-        assert _site(0, flipped)[3] == "horizontal"
-        assert _site(4, flipped)[3] == "vertical"
-
     def test_array_decode_matches_the_formula(self):
-        spec = ChimeraSpec(grid=3, vertical_low_k=False)
+        spec = ChimeraSpec(grid=3)
         ids = [71, 0, 12, 12, 35]
         row, col, k, vertical = sites(ids, spec)
         for i, q in enumerate(ids):
             cell, kk = divmod(q, 8)
             assert (row[i], col[i], k[i]) == (cell // 3, cell % 3, kk)
-            assert vertical[i] == (kk >= 4)
+            assert vertical[i] == (kk < 4)
         assert vertical.dtype == bool
 
     def test_empty_and_bad_ids(self):
