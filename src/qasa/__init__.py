@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .model import (
     ParameterError,
@@ -25,7 +25,7 @@ from .estimator import (
     fit_qubit,
     log_likelihood,
 )
-from .topology import ChimeraSpec, heatmap_grid, parse_chip, sites
+from .topology import ChimeraSpec, parse_chip, sites
 from .analysis import (
     AnnealSweepPoint,
     DistributionSummary,
@@ -33,7 +33,6 @@ from .analysis import (
     build_report,
     fit_log_trend,
     orientation_split,
-    spatial_report,
     summarize,
     sweep_point,
 )

@@ -1,8 +1,10 @@
 """Chip-level aggregation of fitted qubit parameters.
 
 Distribution summaries with medians and outliers, horizontal/vertical
-orientation splits, spatial heatmap records, and trend fits of chip means
-against the logarithm of anneal time.
+orientation splits, and trend fits of chip means against the logarithm of
+anneal time.  `build_report` gathers the summaries, the splits, the sites
+of the fitted qubits and one heatmap per parameter into one document; it
+names each fitted qubit, and no other slot of the chip.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import ChipFit
-from .topology import ChimeraSpec, heatmap_grid, sites
+from .topology import ChimeraSpec, sites
 
 PARAMETERS = ("beta", "b", "eta", "gamma")
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # histogram bins of every distribution summary
 BINS = 50
@@ -111,12 +113,6 @@ def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str):
     )
 
 
-def spatial_report(fit: ChipFit, spec: ChimeraSpec, parameter: str):
-    """Heatmap records of one parameter over the chip layout."""
-    vals = fit.theta[:, _column(parameter)]
-    return heatmap_grid(dict(zip(fit.ids.tolist(), vals.tolist())), spec)
-
-
 def sweep_point(anneal_time_us: float, fit: ChipFit) -> AnnealSweepPoint:
     """Chip-mean and -std of every parameter for one labeled dataset."""
     if not len(fit):
@@ -139,14 +135,22 @@ def fit_log_trend(points, parameter: str) -> TrendFit:
 
 
 def build_report(fit: ChipFit, spec: ChimeraSpec) -> dict:
-    """Full analysis document: summaries, H/V splits, and heatmap records.
-    A split side with no fitted qubit is null."""
-    report = {"schema_version": SCHEMA_VERSION, "n_qubits": len(fit)}
+    """Full analysis document: summaries, H/V splits, the chip, the sites
+    of the fitted qubits as one columnar table, and per parameter a heatmap
+    of ``{id, value}`` records, both in ascending id order.  Only fitted
+    qubits are listed; a plotter draws the chip's other slots from
+    ``chip``.  A split side with no fitted qubit is null."""
+    report = {"schema_version": SCHEMA_VERSION, "chip": f"chimera:{spec.grid}", "n_qubits": len(fit)}
     report["summaries"] = {p: summarize(fit, p).to_dict() for p in PARAMETERS}
     splits = {}
     for p in PARAMETERS:
         sides = orientation_split(fit, spec, p)
         splits[p] = {k: s.to_dict() if s else None for k, s in zip(("horizontal", "vertical"), sides)}
     report["orientation_splits"] = splits
-    report["heatmaps"] = {p: spatial_report(fit, spec, p) for p in PARAMETERS}
+    ids = fit.ids.tolist()
+    row, col, k, vertical = (a.tolist() for a in sites(fit.ids, spec))
+    report["sites"] = {"id": ids, "row": row, "col": col, "k": k,
+                       "orientation": ["vertical" if v else "horizontal" for v in vertical]}
+    report["heatmaps"] = {p: [{"id": q, "value": v} for q, v in zip(ids, fit.theta[:, j].tolist())]
+                          for j, p in enumerate(PARAMETERS)}
     return report

@@ -92,6 +92,8 @@ def read_raw(path) -> RawCounts:
                 ids.append(_qubit_id(name[5:]))
             except ValueError:
                 _fail(path, 1, f"bad qubit id in column name {name!r}")
+            if ids[-1] >= 2**64:  # an id is a 64-bit stream key
+                _fail(path, 1, f"qubit id {ids[-1]} outside [0, 2**64)")
         if len(set(ids)) != len(ids):
             _fail(path, 1, "duplicate spin columns")
         # a valid header holds no quoted line break, so fh is now at line 2

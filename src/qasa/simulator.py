@@ -87,6 +87,18 @@ def default_sweep() -> SweepDesign:
     return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0)
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _qubit_id(q) -> int:
+    """Qubit id `q` as a Python int, refused unless it is in [0, 2**64):
+    an id is its stream's 64-bit key, so a wider one would share a stream."""
+    q = operator.index(q)
+    if not 0 <= q <= _MASK64:
+        raise ValueError(f"qubit id {q} outside [0, 2**64)")
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class RawCounts:
     """Per-field -1 tallies for a set of qubits; read-only once built.
@@ -100,9 +112,9 @@ class RawCounts:
     ints, as the simulator's 64-bit ids do not fit an int64.  counts then
     maps each id to its row, a read-only view of `table`.  h and samples
     are read-only copies too, so a row can only be set by building a new
-    RawCounts, which checks it.  Every field has at least one sample, and
-    no id appears twice.  `==` is identity, as for ChipFit: compare the
-    arrays to compare two counts.
+    RawCounts, which checks it.  Every field has at least one sample, every
+    id is in [0, 2**64), and no id appears twice.  `==` is identity, as for
+    ChipFit: compare the arrays to compare two counts.
     """
 
     h: np.ndarray
@@ -125,7 +137,7 @@ class RawCounts:
                 raise ValueError(f"count row for qubit {wrong[0]} has wrong length")
             counts = list(counts), list(counts.values()) or np.empty((0, h.size))
         ids, rows = counts
-        ids = [operator.index(q) for q in ids]
+        ids = [_qubit_id(q) for q in ids]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate qubit id in counts")
         table = np.array(rows, dtype=np.int64, order="C")
@@ -152,21 +164,19 @@ class RawCounts:
         return self.h.size
 
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
 def _draw(p_minus, design: SweepDesign, ids) -> np.ndarray:
     """One binomial -1 tally per field of each row of `p_minus`, drawn in
     field order from the stream of its qubit id in `ids`; the tallies are
     a (qubit, field) int64 table, one row per id.
 
-    The stream of id q is that of a new ``Philox(key=[seed, q])``, both
-    taken mod 2**64 so the key holds all 64 bits of each.  One bit generator
-    is re-keyed per qubit rather than built per qubit: its state is set to
-    exactly a new Philox's (counter 0, that key, an empty buffer and no
-    cached 32-bit half), which gives the same bits.  Building a keyed Philox
-    took about 22 us on a 2-CPU x86 VM, near the 28 us of drawing 81 fields
-    at 5e6 samples; setting the state took about 1 us.  The Generator's
+    The stream of id q is that of a new ``Philox(key=[seed, q])``, the seed
+    taken mod 2**64 so the key holds all 64 bits of it; an id outside
+    [0, 2**64) raises ValueError.  One bit generator is re-keyed per qubit
+    rather than built per qubit: its state is set to exactly a new
+    Philox's (counter 0, that key, an empty buffer and no cached 32-bit
+    half), which gives the same bits.  Building a keyed Philox took about
+    22 us on a 2-CPU x86 VM, near the 28 us of drawing 81 fields at 5e6
+    samples; setting the state took about 1 us.  The Generator's
     binomial set-up cache carries over from qubit to qubit; it depends only
     on (n, p), not on the stream.
     """
@@ -177,7 +187,7 @@ def _draw(p_minus, design: SweepDesign, ids) -> np.ndarray:
     for q, pm, row in zip(ids, p_minus, table):
         bitgen.state = {
             "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, int(q) & _MASK64]},
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, _qubit_id(q)]},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         row[:] = rng.binomial(design.samples_per_field, pm)

@@ -54,31 +54,6 @@ def sites(ids, spec: ChimeraSpec):
     return row, col, k, k < 4
 
 
-def heatmap_grid(values: dict, spec: ChimeraSpec):
-    """Plot-ready per-qubit records for a chip heatmap.
-
-    Returns one dict per qubit slot of the full chip, with ``value`` None for
-    operational qubits absent from `values` and ``present`` False for
-    non-operational slots.  Ids in `values` must be operational.
-    """
-    unknown = set(values) - spec.operational
-    if unknown:
-        raise TopologyError(f"ids not operational on this chip: {sorted(unknown)[:10]}")
-    row, col, k, vertical = (a.tolist() for a in sites(np.arange(spec.capacity), spec))
-    return [
-        {
-            "id": q,
-            "row": row[q],
-            "col": col[q],
-            "k": k[q],
-            "orientation": "vertical" if vertical[q] else "horizontal",
-            "present": q in spec.operational,
-            "value": values.get(q),
-        }
-        for q in range(spec.capacity)
-    ]
-
-
 def _chip_grid(text: str) -> int:
     """The grid side n of a chip spec string ``chimera:<n>``, checked as
     `parse_chip` checks it, without building the chip's 8n^2 ids."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qasa import QubitParams, build_report, fit_log_trend, orientation_split, summarize, sweep_point
-from qasa.analysis import AnalysisError, AnnealSweepPoint, spatial_report
+from qasa.analysis import PARAMETERS, AnalysisError, AnnealSweepPoint
 from qasa.estimator import ChipFit
 from qasa.topology import ChimeraSpec, sites
 
@@ -103,32 +103,6 @@ class TestOrientationSplit:
             orientation_split(fake_fit({99: fake_params()}), spec, "beta")
 
 
-class TestSpatialReport:
-    def test_single_qubit(self):
-        spec = ChimeraSpec(grid=1)
-        records = spatial_report(fake_fit({0: fake_params(beta=12.0)}), spec, "beta")
-        assert records[0]["value"] == 12.0
-        assert all(r["value"] is None for r in records[1:])
-
-    def test_striped_truth_visible(self):
-        spec = ChimeraSpec(grid=2)
-        results = fake_fit({
-            q: fake_params(gamma=0.03 if is_horizontal(q, spec) else 0.01)
-            for q in spec.operational
-        })
-        records = spatial_report(results, spec, "gamma")
-        horiz = [r["value"] for r in records if r["orientation"] == "horizontal"]
-        vert = [r["value"] for r in records if r["orientation"] == "vertical"]
-        assert min(horiz) > max(vert)
-
-    def test_missing_qubits_marked(self):
-        operational = frozenset(range(32)) - {3, 7}
-        spec = ChimeraSpec(grid=2, operational=operational)
-        results = fake_fit({q: fake_params() for q in operational})
-        records = spatial_report(results, spec, "beta")
-        assert [r["id"] for r in records if not r["present"]] == [3, 7]
-
-
 class TestTrendFit:
     def test_exact_interpolation(self):
         times = [1.0, 5.0, 25.0, 125.0]
@@ -184,10 +158,65 @@ class TestReport:
         spec = ChimeraSpec(grid=2)
         results = fake_fit({q: fake_params() for q in spec.operational})
         report = build_report(results, spec)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert report["chip"] == "chimera:2"
         assert set(report["summaries"]) == {"beta", "b", "eta", "gamma"}
         assert set(report["orientation_splits"]["gamma"]) == {"horizontal", "vertical"}
         assert len(report["heatmaps"]["beta"]) == 32
+
+    def test_sites_are_one_table_of_the_fitted_ids(self):
+        spec = ChimeraSpec(grid=3)
+        results = fake_fit({q: fake_params(beta=10.0 + q / 8) for q in (70, 3, 12, 45, 4)})
+        row, col, k, vertical = sites(results.ids, spec)
+        assert build_report(results, spec)["sites"] == {
+            "id": [3, 4, 12, 45, 70],
+            "row": row.tolist(),
+            "col": col.tolist(),
+            "k": k.tolist(),
+            "orientation": ["vertical" if v else "horizontal" for v in vertical],
+        }
+
+    def test_heatmaps_list_the_fitted_values(self):
+        rng = np.random.default_rng(4)
+        spec = ChimeraSpec(grid=4)
+        ids = rng.choice(spec.capacity, 40, replace=False)
+        results = fake_fit({int(q): fake_params(*rng.uniform([1, -0.1, 0, 0], [60, 0.1, 0.1, 0.1])) for q in ids})
+        heatmaps = build_report(results, spec)["heatmaps"]
+        assert list(heatmaps) == list(PARAMETERS)
+        for j, p in enumerate(PARAMETERS):
+            assert [r["id"] for r in heatmaps[p]] == sorted(ids.tolist())
+            assert all(set(r) == {"id", "value"} for r in heatmaps[p])
+            assert np.array_equal([r["value"] for r in heatmaps[p]], results.theta[:, j])
+
+    def test_single_qubit(self):
+        report = build_report(fake_fit({0: fake_params(beta=12.0)}), ChimeraSpec(grid=1))
+        assert report["heatmaps"]["beta"] == [{"id": 0, "value": 12.0}]
+        assert report["sites"] == {"id": [0], "row": [0], "col": [0], "k": [0], "orientation": ["vertical"]}
+
+    def test_striped_truth_visible(self):
+        spec = ChimeraSpec(grid=2)
+        results = fake_fit({
+            q: fake_params(gamma=0.03 if is_horizontal(q, spec) else 0.01)
+            for q in spec.operational
+        })
+        report = build_report(results, spec)
+        orientation = dict(zip(report["sites"]["id"], report["sites"]["orientation"]))
+        horiz = [r["value"] for r in report["heatmaps"]["gamma"] if orientation[r["id"]] == "horizontal"]
+        vert = [r["value"] for r in report["heatmaps"]["gamma"] if orientation[r["id"]] == "vertical"]
+        assert len(horiz) == len(vert) == 16
+        assert min(horiz) > max(vert)
+
+    def test_dead_slots_are_not_listed(self):
+        operational = frozenset(range(32)) - {3, 7}
+        spec = ChimeraSpec(grid=2, operational=operational)
+        report = build_report(fake_fit({q: fake_params() for q in operational}), spec)
+        assert report["sites"]["id"] == sorted(operational)
+        for p in PARAMETERS:
+            assert [r["id"] for r in report["heatmaps"][p]] == sorted(operational)
+
+    def test_ids_off_the_chip_are_refused(self):
+        with pytest.raises(AnalysisError, match=r"fitted ids not on chip: \[99\]"):
+            build_report(fake_fit({0: fake_params(), 99: fake_params()}), ChimeraSpec(grid=1))
 
     def test_sweep_point_rejects_an_empty_fit(self):
         with pytest.raises(AnalysisError, match="no fitted qubits"):

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -8,6 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import qasa
 from qasa import __version__
 from qasa.analysis import AnalysisError, AnnealSweepPoint
 from qasa.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -488,9 +493,24 @@ class TestAnalyze:
             "analyze", "--params", str(params), "--chip", "chimera:1", "--out", str(out),
         ]) == EXIT_OK
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert report["chip"] == "chimera:1"
         assert abs(report["summaries"]["beta"]["median"] - 10.54) / 10.54 < 0.05
         assert len(report["heatmaps"]["gamma"]) == 8
+
+    def test_report_on_a_large_chip_lists_only_the_fitted_qubits(self, tmp_path):
+        # the report's size follows the fitted qubits, not the declared chip
+        # (800,000 slots here)
+        params, out = tmp_path / "params.csv", tmp_path / "report.json"
+        params.write_text("qubit_id,beta,b,eta,gamma\n"
+                          + "".join(f"{q},{10 + q / 32},0.0025,0.0367,0.0176\n" for q in range(32)))
+        assert run(["analyze", "--params", str(params), "--chip", "chimera:100", "--out", str(out)]) == EXIT_OK
+        assert out.stat().st_size < 64 * 1024
+        report = json.loads(out.read_text())
+        assert report["chip"] == "chimera:100"
+        assert report["n_qubits"] == 32
+        assert report["sites"]["id"] == list(range(32))
+        assert [r["id"] for r in report["heatmaps"]["beta"]] == list(range(32))
 
     def test_short_params_row_exit(self, tmp_path, capsys):
         params = tmp_path / "params.csv"
@@ -521,6 +541,7 @@ class TestAnalyze:
             assert split["horizontal"] is None
             assert split["vertical"]["count"] == 4
             assert split["vertical"]["median"] == report["summaries"][p]["median"]
+            assert [r["id"] for r in report["heatmaps"][p]] == [0, 1, 2, 3]
 
     def test_params_topology_mismatch(self, mini_run, tmp_path):
         _, _, params = mini_run
@@ -771,6 +792,14 @@ class TestIdsPastInt64:
         assert capsys.readouterr().err == f"qasa: qubit id {self.BIG} past the int64 range of a fit\n"
         assert list(tmp_path.iterdir()) == [raw]
 
+    def test_raw_column_id_past_64_bits_is_refused(self, tmp_path, capsys):
+        q = 2**64 + 1  # would share id 1's 64-bit stream key
+        raw = self.raw_file(tmp_path / "raw.csv", q)
+        for argv in (["fit", "--in", str(raw)], ["estimate", "--in", str(raw), "--qubit", "0"]):
+            assert run(argv + ["--out", str(tmp_path / "out.csv")]) == EXIT_DATA
+            assert capsys.readouterr().err == f"qasa: {raw}:1: qubit id {q} outside [0, 2**64)\n"
+        assert list(tmp_path.iterdir()) == [raw]
+
     def test_raw_column_id_reads_and_estimates(self, tmp_path):
         q = 2**64 - 1
         raw = self.raw_file(tmp_path / "raw.csv", q)
@@ -778,3 +807,62 @@ class TestIdsPastInt64:
         out = tmp_path / "curve.csv"
         assert run(["estimate", "--in", str(raw), "--qubit", str(q), "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 10
+
+
+NINE_FIELDS = ("-1", "-0.75", "-0.5", "-0.25", "0", "0.25", "0.5", "0.75", "1")
+
+
+class TestConsoleScript:
+    """Error paths of the console script, run as its own process: the
+    installed `qasa` when it is on PATH, else `python -m qasa.cli` on the
+    package under test.  Each exits with its code and one message, prints
+    no traceback and writes nothing."""
+
+    CASES = {
+        "two fields": (
+            {"two_fields.csv": "h,samples,spin_0\n-0.5,100,90\n0.5,100,10\n"},
+            ["fit", "--in", "two_fields.csv", "--out", "few.csv"], EXIT_DATA,
+            "qasa: need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]\n",
+        ),
+        "no spin columns": (
+            {"no_spins.csv": "h,samples\n" + "".join(f"{h},100\n" for h in NINE_FIELDS)},
+            ["fit", "--in", "no_spins.csv", "--out", "none.csv"], EXIT_DATA,
+            "qasa: no qubits to fit\n",
+        ),
+        "spin id past int64": (
+            {"big_id.csv": "h,samples,spin_9223372036854775808\n"
+                           + "".join(f"{h},100,{90 - 10 * i}\n" for i, h in enumerate(NINE_FIELDS))},
+            ["fit", "--in", "big_id.csv", "--out", "big_id_params.csv"], EXIT_DATA,
+            "qasa: qubit id 9223372036854775808 past the int64 range of a fit\n",
+        ),
+        "version": ({}, ["--version"], EXIT_OK, ""),
+        "no arguments": ({}, ["fit"], EXIT_USAGE, "qasa fit: error: the following arguments are required: --in, --out\n"),
+        "manifest cell past the field limit": (
+            {"huge_cell.csv": "anneal_time_us,params_file\n1," + "p" * 200_000 + "\n"},
+            ["sweep", "--manifest", "huge_cell.csv", "--parameter", "beta", "--out", "huge.csv"], EXIT_DATA,
+            "qasa: huge_cell.csv:2: field larger than field limit (131072)\n",
+        ),
+    }
+
+    @staticmethod
+    def command():
+        if shutil.which("qasa"):
+            return ["qasa"], None
+        src = os.path.dirname(os.path.dirname(qasa.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return [sys.executable, "-m", "qasa.cli"], dict(os.environ, PYTHONPATH=path)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_error_path(self, case, tmp_path):
+        files, argv, code, err = self.CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        command, env = self.command()
+        done = subprocess.run(command + argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        assert "Traceback" not in done.stderr
+        # a usage error prints the usage lines before its message
+        assert done.stderr.endswith(err) if code == EXIT_USAGE else done.stderr == err
+        if case == "version":
+            assert done.stdout == __version__ + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)

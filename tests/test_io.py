@@ -326,6 +326,10 @@ class TestRawErrors:
             ("h,samples,spin_3,spin_7,spin_3\n0.0,100,5,6,7\n", "1: duplicate spin columns"),
             ("h,samples,spin_3,spin_03\n0.0,100,5,6\n", "1: duplicate spin columns"),
             ("h,samples,spin_3\n0.0,100,5\n0.1,0,0\n", "3: samples must be positive, got 0"),
+            # an id is its stream's 64-bit key; 2**64 + 1 would share id 1's stream
+            ("h,samples,spin_1,spin_18446744073709551617\n0.0,100,5,6\n",
+             "1: qubit id 18446744073709551617 outside [0, 2**64)"),
+            ("h,samples,spin_18446744073709551616\n0.0,100,5\n", "1: qubit id 18446744073709551616 outside [0, 2**64)"),
         ],
     )
     def test_file_errors_name_their_line(self, tmp_path, body, message):
@@ -560,7 +564,7 @@ class TestReportFile:
         assert json.loads(a.read_text())["schema_version"] == 1
 
     def test_chip_report_reads_back_equal(self, tmp_path):
-        ids = [q for q in range(32) if q != 5]  # a missing qubit gives null heatmap values
+        ids = [q for q in range(32) if q != 5]  # one slot of the chip not fitted
         theta = [QubitParams(10.0 + 0.1 * q, 0.002, 0.03 + 0.001 * q, 0.017).astuple() for q in ids]
         n = len(ids)
         fit = ChipFit(ids, theta, np.full(n, -1.25), np.ones(n), np.full(n, 81), np.full(n, 81_000), np.zeros(n))

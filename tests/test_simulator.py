@@ -195,6 +195,19 @@ class TestSimulateChip:
             a[0] = 0
         assert counts.counts[7].tolist() == [1, 2] and counts.samples.tolist() == [10, 20]
 
+    @pytest.mark.parametrize("q", [-1, 2**64, 2**64 + 1, -(2**63)])
+    def test_ids_outside_64_bits_are_refused(self, q):
+        # an id is its stream's 64-bit key: 2**64 + 1 once drew id 1's column
+        p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
+        d = make_design(1000, seed=3)
+        message = rf"qubit id {q} outside \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=message):
+            simulate_chip(([1, q], np.array([p.astuple()] * 2)), d)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(p, d, q)
+        with pytest.raises(ValueError, match=message):
+            RawCounts(np.array([0.0, 0.5]), np.array([10, 20]), ([1, q], [[1, 2], [3, 4]]))
+
     def test_equality_is_identity(self):
         # the generated == would compare the array fields inside a tuple
         # and raise on their ambiguous truth value

@@ -4,7 +4,6 @@ import pytest
 from qasa.topology import (
     ChimeraSpec,
     TopologyError,
-    heatmap_grid,
     parse_chip,
     sites,
 )
@@ -79,34 +78,6 @@ class TestOrientationGroups:
         horizontal, vertical = _groups(ChimeraSpec(grid=2))
         assert len(horizontal) == 16
         assert len(vertical) == 16
-
-
-class TestHeatmapGrid:
-    def test_single_value(self):
-        records = heatmap_grid({0: 1.0}, ChimeraSpec(grid=1))
-        assert records[0] == {
-            "id": 0, "row": 0, "col": 0, "k": 0, "orientation": "vertical",
-            "present": True, "value": 1.0,
-        }
-        assert all(r["value"] is None for r in records[1:])
-
-    def test_partial_chip_markers(self):
-        operational = frozenset(range(2048)) - frozenset(range(16))
-        spec = ChimeraSpec(grid=16, operational=operational)
-        values = {q: 0.5 for q in operational}
-        records = heatmap_grid(values, spec)
-        assert len(records) == 2048
-        absent = [r for r in records if not r["present"]]
-        assert len(absent) == 16
-
-    def test_empty_map(self):
-        records = heatmap_grid({}, ChimeraSpec(grid=2))
-        assert len(records) == 32
-        assert all(r["value"] is None for r in records)
-
-    def test_unknown_id(self):
-        with pytest.raises(TopologyError):
-            heatmap_grid({99: 1.0}, ChimeraSpec(grid=1))
 
 
 class TestParseChip:
