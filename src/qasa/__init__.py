@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .model import (
     ParameterError,
@@ -15,7 +15,7 @@ from .model import (
     outcome_probability,
     spin_expectation,
 )
-from .simulator import RawCounts, SweepDesign, default_sweep, field_grid, sample_counts, simulate_chip
+from .simulator import RawCounts, SweepDesign, field_grid, sample_counts, simulate_chip
 from .estimator import (
     FLAGS,
     ChipFit,

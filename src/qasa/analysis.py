@@ -99,18 +99,24 @@ def summarize(fit: ChipFit, parameter: str) -> DistributionSummary:
     return _summary(parameter, fit.ids, fit.theta[:, _column(parameter)])
 
 
-def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str):
-    """(horizontal, vertical) summaries of one parameter; a side with no
-    fitted qubit is None."""
+def _fitted_sites(fit: ChipFit, spec: ChimeraSpec):
+    """`sites` of the fitted ids, once every one is on the chip."""
     unknown = set(fit.ids.tolist()) - spec.operational
     if unknown:
         raise AnalysisError(f"fitted ids not on chip: {sorted(unknown)[:10]}")
+    return sites(fit.ids, spec)
+
+
+def _split(fit: ChipFit, parameter: str, vertical):
     vals = fit.theta[:, _column(parameter)]
-    vertical = sites(fit.ids, spec)[3]
-    return tuple(
-        _summary(parameter, fit.ids[side], vals[side]) if side.any() else None
-        for side in (~vertical, vertical)
-    )
+    return tuple(_summary(parameter, fit.ids[side], vals[side]) if side.any() else None
+                 for side in (~vertical, vertical))
+
+
+def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str):
+    """(horizontal, vertical) summaries of one parameter; a side with no
+    fitted qubit is None."""
+    return _split(fit, parameter, _fitted_sites(fit, spec)[3])
 
 
 def sweep_point(anneal_time_us: float, fit: ChipFit) -> AnnealSweepPoint:
@@ -142,15 +148,15 @@ def build_report(fit: ChipFit, spec: ChimeraSpec) -> dict:
     ``chip``.  A split side with no fitted qubit is null."""
     report = {"schema_version": SCHEMA_VERSION, "chip": f"chimera:{spec.grid}", "n_qubits": len(fit)}
     report["summaries"] = {p: summarize(fit, p).to_dict() for p in PARAMETERS}
+    row, col, k, vertical = _fitted_sites(fit, spec)
     splits = {}
     for p in PARAMETERS:
-        sides = orientation_split(fit, spec, p)
-        splits[p] = {k: s.to_dict() if s else None for k, s in zip(("horizontal", "vertical"), sides)}
+        sides = _split(fit, p, vertical)
+        splits[p] = {name: s.to_dict() if s else None for name, s in zip(("horizontal", "vertical"), sides)}
     report["orientation_splits"] = splits
     ids = fit.ids.tolist()
-    row, col, k, vertical = (a.tolist() for a in sites(fit.ids, spec))
-    report["sites"] = {"id": ids, "row": row, "col": col, "k": k,
-                       "orientation": ["vertical" if v else "horizontal" for v in vertical]}
+    report["sites"] = {"id": ids, "row": row.tolist(), "col": col.tolist(), "k": k.tolist(),
+                       "orientation": ["vertical" if v else "horizontal" for v in vertical.tolist()]}
     report["heatmaps"] = {p: [{"id": q, "value": v} for q, v in zip(ids, fit.theta[:, j].tolist())]
                           for j, p in enumerate(PARAMETERS)}
     return report

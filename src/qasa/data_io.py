@@ -11,7 +11,6 @@ inputs give byte-identical files on any platform.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
@@ -58,6 +57,14 @@ def _csv_rows(path, fh):
         _fail(path, line_no + 1, exc)
 
 
+def _long_cell(lines):
+    """Whether one of `lines` may hold a cell past csv's field-size limit,
+    which loadtxt takes and the row reader refuses.  No cell is longer than
+    its line, so only a longer line is split into cells."""
+    limit = csv.field_size_limit()
+    return any(len(cell) > limit for line in lines if len(line) > limit for cell in line.split(","))
+
+
 def _qubit_id(text: str) -> int:
     """A qubit id cell: ASCII decimal digits only, where int() alone would
     also take '1_0', ' 3', '+3' and non-ASCII digits."""
@@ -71,11 +78,11 @@ def read_raw(path) -> RawCounts:
 
     The data rows are parsed in one `np.loadtxt` call and checked as a whole
     table.  Every cell loadtxt reads, int() and float() read to the same
-    value (save cells past int()'s 4300-digit or csv's field-size limit,
-    which the row reader refuses), so a file loadtxt refuses, or that fails
-    a check, is read again row by row: that reader takes what loadtxt
-    refuses (``1_0``, quoted cells, non-ASCII digits) and names the first
-    bad cell.
+    value (save cells past int()'s 4300-digit limit, which the row reader
+    refuses), so a file loadtxt refuses, that fails a check, or that has a
+    cell past csv's field-size limit, is read again row by row: that reader
+    takes what loadtxt refuses (``1_0``, quoted cells, non-ASCII digits)
+    and names the first bad cell.
     """
     with open(path, newline="") as fh:
         try:
@@ -113,14 +120,18 @@ def read_raw(path) -> RawCounts:
 
 def _parse_rows(fh, n_cells):
     """h and the (rows, samples + counts) int64 table of the data rows left
-    in `fh`, or None if a cell does not parse or a check fails."""
+    in `fh`, or None if a cell does not parse, may be too long for csv, or
+    a check fails."""
+    lines = fh.read().split("\n")
+    if _long_cell(lines):
+        return None
     row = np.dtype([("h", float), ("cells", np.int64, (n_cells - 1,))])
     try:
         with warnings.catch_warnings():
             # loadtxt warns on a file with no data rows, and an older numpy
             # warns where it reads '3.0' as an int
             warnings.simplefilter("error")
-            data = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+            data = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     h, table = data["h"], data["cells"]
@@ -263,8 +274,7 @@ def read_params(path) -> ChipFit:
     As in `read_raw`, the data rows are parsed in one `np.loadtxt` call and
     checked as a whole table, and a file that loadtxt refuses, or that
     fails a check, is read again row by row, which names the first bad
-    cell.  On a table both take, both give the same columns (save cells
-    past csv's field-size limit, which only the row reader refuses).
+    cell.  On a table both take, both give the same columns.
     """
     with open(path, newline="") as fh:
         _, header = next(_csv_rows(path, fh), (1, None))
@@ -292,10 +302,11 @@ _PARAM_TYPES = {
 def _parse_params(text, header):
     """The columns (ids, theta, log_likelihood, converged, n_points,
     total_samples) of the data rows in `text`, or None if a cell does not
-    parse or a check fails."""
+    parse, may be too long for csv, or a check fails."""
     # loadtxt reads a quoted cell with its quotes, and its commas as
     # delimiters; a NUL ends a numpy string
-    if '"' in text or "\0" in text:
+    lines = text.split("\n")
+    if '"' in text or "\0" in text or _long_cell(lines):
         return None
     # a column read_params ignores is read as one character, so that
     # loadtxt still counts every row's cells
@@ -305,7 +316,7 @@ def _parse_params(text, header):
             # loadtxt warns on a file with no data rows, and where it reads
             # '3.0' as an int
             warnings.simplefilter("error")
-            data = np.loadtxt(io.StringIO(text), dtype=row, delimiter=",", comments=None, ndmin=1)
+            data = np.loadtxt(lines, dtype=row, delimiter=",", comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
     col = {name: data[f"c{j}"] for j, name in enumerate(header)}

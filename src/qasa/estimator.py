@@ -281,26 +281,14 @@ def _objective(h, theta, means, weights):
     return sums[0].copy(), sums[1:5].T.copy(), info
 
 
-def _data(h, means, weights):
+def log_likelihood(p: QubitParams, h, means, weights=None):
+    """Weighted model likelihood of empirical spin means."""
     h = np.asarray(h, dtype=float)
     if h.size == 0:
         raise FitError("no data points")
-    if weights is None:
-        weights = np.full(h.size, 1.0 / h.size)
-    return h, np.asarray(means, dtype=float)[:, None], np.asarray(weights, dtype=float)
-
-
-def log_likelihood(p: QubitParams, h, means, weights=None):
-    """Weighted model likelihood of empirical spin means."""
-    h, means, weights = _data(h, means, weights)
+    weights = np.full(h.size, 1.0 / h.size) if weights is None else np.asarray(weights, dtype=float)
+    means = np.asarray(means, dtype=float)[:, None]
     return float(_objective(h, np.array([p.astuple()]), means, weights)[0][0])
-
-
-def log_likelihood_grad(p: QubitParams, h, means, weights=None):
-    """Gradient of `log_likelihood` wrt (beta, b, eta, gamma): the score
-    the fitter steps along."""
-    h, means, weights = _data(h, means, weights)
-    return _objective(h, np.array([p.astuple()]), means, weights)[1][0]
 
 
 def _initial_guess(h, means, samples):

@@ -82,11 +82,6 @@ def field_grid(h_min=-1.0, h_max=1.0, h_step=0.025):
     return tuple(round(h_min + i * h_step, 12) for i in range(n))
 
 
-def default_sweep() -> SweepDesign:
-    """The standard sweep: 81 fields in [-1, 1] at step 0.025, M = 5e6."""
-    return SweepDesign(fields=field_grid(), samples_per_field=5_000_000, seed=0)
-
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -159,9 +154,6 @@ class RawCounts:
     @property
     def qubit_ids(self):
         return list(self.counts)
-
-    def n_fields(self) -> int:
-        return self.h.size
 
 
 def _draw(p_minus, design: SweepDesign, ids) -> np.ndarray:

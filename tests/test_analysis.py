@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from qasa import QubitParams, build_report, fit_log_trend, orientation_split, summarize, sweep_point
+from qasa import analysis
 from qasa.analysis import PARAMETERS, AnalysisError, AnnealSweepPoint
 from qasa.estimator import ChipFit
 from qasa.topology import ChimeraSpec, sites
@@ -213,6 +216,20 @@ class TestReport:
         assert report["sites"]["id"] == sorted(operational)
         for p in PARAMETERS:
             assert [r["id"] for r in report["heatmaps"][p]] == sorted(operational)
+
+    def test_sites_are_decoded_once(self):
+        spec = ChimeraSpec(grid=2, operational=frozenset(range(32)) - {5})
+        rng = np.random.default_rng(9)
+        results = fake_fit({q: fake_params(*rng.uniform([1, -0.1, 0, 0], [60, 0.1, 0.1, 0.1]))
+                            for q in spec.operational})
+        with mock.patch.object(analysis, "sites", wraps=sites) as decode:
+            report = build_report(results, spec)
+        assert decode.call_count == 1
+        # the splits are those orientation_split gives one parameter at a time
+        for p in PARAMETERS:
+            horizontal, vertical = orientation_split(results, spec, p)
+            assert report["orientation_splits"][p] == {"horizontal": horizontal.to_dict(),
+                                                       "vertical": vertical.to_dict()}
 
     def test_ids_off_the_chip_are_refused(self):
         with pytest.raises(AnalysisError, match=r"fitted ids not on chip: \[99\]"):

@@ -439,6 +439,18 @@ class TestFit:
         assert capsys.readouterr().err == f"qasa: {bad}:3: field larger than field limit (131072)\n"
         assert list(tmp_path.iterdir()) == [bad]
 
+    def test_unquoted_too_long_cell_exit(self, tmp_path, capsys):
+        # a file fit for the table parse but for one unquoted cell past the
+        # limit: the same data error as a quoted one
+        h = np.linspace(-1, 1, 9)
+        cells = ["0." + "0" * 199_999, *map(repr, h[h != 0].tolist())]
+        counts = np.round(500 * (1 - np.tanh(10 * np.concatenate([[0.0], h[h != 0]])))).astype(int)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("h,samples,spin_0\n" + "".join(f"{c},1000,{n}\n" for c, n in zip(cells, counts)))
+        assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "o.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {bad}:2: field larger than field limit (131072)\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_field_past_the_kernel_range_exit(self, tmp_path, capsys):
         rows = "".join(f"{h},100,50\n" for h in (*np.linspace(-1, 1, 9).tolist(), 1e200))
         bad = tmp_path / "bad.csv"
@@ -528,6 +540,14 @@ class TestAnalyze:
         out = tmp_path / "x.json"
         assert run(["analyze", "--params", str(params), "--chip", "chimera:1", "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == f"qasa: {params}:3: field larger than field limit (131072)\n"
+        assert list(tmp_path.iterdir()) == [params]
+
+    def test_unquoted_too_long_params_cell_exit(self, tmp_path, capsys):
+        params = tmp_path / "params.csv"
+        params.write_text("qubit_id,beta,b,eta,gamma\n0,10." + "0" * 199_998 + ",0.0,0.03,0.01\n")
+        out = tmp_path / "x.json"
+        assert run(["analyze", "--params", str(params), "--chip", "chimera:1", "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"qasa: {params}:2: field larger than field limit (131072)\n"
         assert list(tmp_path.iterdir()) == [params]
 
     def test_one_orientation_only(self, mini_run, tmp_path):

@@ -19,8 +19,9 @@ from qasa import (
     simulate_chip,
 )
 from qasa import estimator
-from qasa.estimator import EffectiveFieldEstimate, FitError, clamp_limit, log_likelihood_grad
+from qasa.estimator import EffectiveFieldEstimate, FitError, clamp_limit
 from qasa.model import _R_EPS, _mixture
+from qasa.presets import MEDIAN
 from qasa.simulator import RawCounts
 
 FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
@@ -100,7 +101,7 @@ class TestEmpiricalEstimates:
         lim = clamp_limit(m)
         half = z * np.sqrt((1.0 - mean**2) / m)
         out = []
-        for i in range(counts.n_fields()):
+        for i in range(counts.h.size):
             lo, mid, hi = (
                 np.arctanh(np.clip(v, -lim[i], lim[i]))
                 for v in (mean[i] - half[i], mean[i], mean[i] + half[i])
@@ -158,8 +159,11 @@ class TestLogLikelihood:
 
 class TestGradient:
     def test_matches_finite_differences(self):
+        """The score `_objective` gives the fitter is the gradient of
+        `log_likelihood`."""
         rng = np.random.default_rng(42)
         h = np.array(field_grid())
+        weights = np.full(h.size, 1.0 / h.size)
         eps = 1e-6
         for _ in range(100):
             p = QubitParams(
@@ -173,7 +177,7 @@ class TestGradient:
                 -0.999999,
                 0.999999,
             )
-            grad = log_likelihood_grad(p, h, m)
+            grad = estimator._objective(h, np.array([p.astuple()]), m[:, None], weights)[1][0]
             fd = np.empty(4)
             for i in range(4):
                 up = list(p.astuple())
@@ -324,6 +328,59 @@ class TestLikelihoodMaximum:
         fit, _ = fit_chip(simulate_chip(truth, SweepDesign(field_grid(), 1000, seed=304208576)))
         assert fit.ids.tolist() == [18, 19, 71, 98]
         assert fit.converged.tolist() == [1, 1, 1, 1]
+
+
+def _body_chip(seed, n=256):
+    """(counts, truth theta) of n qubits drawn as the benchmark draws its
+    chimera:16 body: around the paper's medians, with its horizontal and
+    vertical split and eta at least 0.015, at 81 fields of 5e6 shots."""
+    rng = np.random.default_rng(seed)
+    ids = np.arange(n)
+    sign = np.where(ids % 8 >= 4, 1.0, -1.0)
+    theta = np.column_stack([
+        MEDIAN.beta * np.exp(rng.normal(0.0, 0.06, n)) * (1.0 + 0.0185 * sign),
+        MEDIAN.b + rng.normal(0.0, 0.004, n),
+        np.maximum(MEDIAN.eta * np.exp(rng.normal(0.0, 0.25, n)), 0.015),
+        MEDIAN.gamma * np.exp(rng.normal(0.0, 0.25, n)) * (1.0 + 0.0625 * sign),
+    ])
+    return simulate_chip((ids.tolist(), theta), SweepDesign(field_grid(), 5_000_000, seed=seed)), theta
+
+
+class TestStartPoint:
+    """One block of 256 qubits fitted from the data start and from the
+    truth; the seed was fixed before either was looked at."""
+
+    @pytest.fixture(scope="class")
+    def fits(self):
+        counts, truth = _body_chip(2201)
+        rows = []
+        objective = estimator._objective
+
+        def counting(h, theta, means, weights):
+            rows.append(len(theta))
+            return objective(h, theta, means, weights)
+
+        with mock.patch.object(estimator, "_objective", counting):
+            fit, _ = fit_chip(counts)
+        with mock.patch.object(estimator, "_initial_guess", lambda h, means, samples: truth.copy()):
+            from_truth, _ = fit_chip(counts)
+        return counts, fit, from_truth, rows
+
+    def test_fit_does_not_depend_on_the_start(self, fits):
+        counts, fit, from_truth, _ = fits
+        assert fit.converged.all() and from_truth.converged.all()
+        m = counts.samples.astype(float)
+        info = estimator._objective(counts.h, fit.theta, ((m - 2.0 * counts.table) / m).T, m / m.sum())[2]
+        se = np.sqrt(np.diagonal(np.linalg.inv(info), axis1=1, axis2=2) / fit.total_samples[:, None])
+        # the largest was 2.5e-6 SE when this bound was set
+        assert (np.abs(from_truth.theta - fit.theta) <= 1e-3 * se).all()
+
+    def test_evaluation_count(self, fits):
+        # the fit's work, free of the machine's speed: 1330 qubit
+        # evaluations (5.2 per qubit) when this bound was set, plus 5%
+        rows = fits[3]
+        assert rows[0] == 256
+        assert sum(rows) <= 1396
 
 
 class TestFitChip:

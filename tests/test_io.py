@@ -144,7 +144,7 @@ class TestRawRoundTrip:
         path = tmp_path / "raw.csv"
         path.write_text("h,samples,spin_3\n0.5,10000,400\n0.5,10000,420\n")
         counts = read_raw(path)
-        assert counts.n_fields() == 1
+        assert counts.h.size == 1
         assert counts.samples[0] == 20000
         assert counts.counts[3][0] == 820
 
@@ -191,7 +191,7 @@ class TestRawRoundTrip:
         path = tmp_path / "raw.csv"
         path.write_text("h,samples,spin_9,spin_0\n")
         counts = read_raw(path)
-        assert counts.n_fields() == 0
+        assert counts.h.size == 0
         assert counts.qubit_ids == [0, 9]
         write_raw(counts, path)
         assert path.read_text() == "h,samples,spin_0,spin_9\n"
@@ -330,6 +330,9 @@ class TestRawErrors:
             ("h,samples,spin_1,spin_18446744073709551617\n0.0,100,5,6\n",
              "1: qubit id 18446744073709551617 outside [0, 2**64)"),
             ("h,samples,spin_18446744073709551616\n0.0,100,5\n", "1: qubit id 18446744073709551616 outside [0, 2**64)"),
+            # loadtxt takes an unquoted cell past csv's limit; the row reader does not
+            pytest.param("h,samples,spin_3\n0.5,100,5\n0." + "0" * 199_999 + ",100,6\n",
+                         "3: field larger than field limit (131072)", id="unquoted cell past the csv limit"),
         ],
     )
     def test_file_errors_name_their_line(self, tmp_path, body, message):
@@ -448,6 +451,12 @@ class TestParamsTable:
             ("qubit_id,beta,b,eta,gamma", "9223372036854775808,10,0.0,0.03,0.01"),
             # loadtxt would split the quoted cell into the two cells csv counts as one
             ("qubit_id,beta,b,eta,gamma,note,other", '1,10,0.0,0.03,0.01,"a,b"'),
+            # loadtxt takes an unquoted cell past csv's limit, even in a column
+            # read_params ignores; the row reader does not
+            pytest.param("qubit_id,beta,b,eta,gamma", "1,10." + "0" * 199_998 + ",0.0,0.03,0.01",
+                         id="beta past the csv limit"),
+            pytest.param("qubit_id,beta,b,eta,gamma,orientation", "1,10,0.0,0.03,0.01," + "v" * 200_001,
+                         id="ignored cell past the csv limit"),
         ],
     )
     def test_rejects_short_rows_and_bad_cells(self, tmp_path, header, row):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qasa import (
-    QubitParams, SweepDesign, default_sweep, field_grid, read_raw, sample_counts, simulate_chip, write_raw,
+    QubitParams, SweepDesign, field_grid, read_raw, sample_counts, simulate_chip, write_raw,
 )
 from qasa.model import _theta
 from qasa.presets import HV_HORIZONTAL, HV_VERTICAL, MEDIAN, preset_truth
@@ -16,14 +16,12 @@ def make_design(m, seed=0, fields=None):
 
 
 class TestSweepDesign:
-    def test_default_sweep(self):
-        d = default_sweep()
-        assert len(d.fields) == 81
-        assert d.fields[0] == -1.0
-        assert d.fields[40] == 0.0
-        assert d.fields[80] == 1.0
-        assert d.samples_per_field == 5_000_000
-        assert d.seed == 0
+    def test_default_field_grid(self):
+        fields = field_grid()
+        assert len(fields) == 81
+        assert fields[0] == -1.0
+        assert fields[40] == 0.0
+        assert fields[80] == 1.0
 
     def test_rejects_empty_and_unsorted(self):
         with pytest.raises(DesignError):
@@ -128,7 +126,7 @@ class TestSimulateChip:
         spec = ChimeraSpec(grid=2)
         truth = {q: QubitParams(10.0, 0, 0, 0) for q in spec.operational}
         counts = simulate_chip(truth, make_design(1000), operational=spec.operational)
-        assert counts.n_fields() == 81
+        assert counts.h.size == 81
         assert len(counts.qubit_ids) == 32
 
     def test_coverage_error(self):
