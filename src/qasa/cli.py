@@ -188,7 +188,8 @@ def build_parser() -> _Parser:
                    help="chip spec for the layout columns, e.g. chimera:16 "
                         "(default: the smallest Chimera grid that holds every id)")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the output is identical for any value")
+                   help="accepted for compatibility and ignored: the fit runs on every CPU "
+                        "the process may use (taskset limits them), with identical output for any count")
 
     p = sub.add_parser("estimate", help="empirical effective-field curve for one qubit")
     p.add_argument("--in", dest="infile", required=True, help="input raw CSV")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from collections import Counter
 
@@ -65,11 +66,38 @@ def _long_cell(lines):
     return any(len(cell) > limit for line in lines if len(line) > limit for cell in line.split(","))
 
 
+def _shown(cell: str) -> str:
+    """A cell as an error message shows it: its repr, cut to its first 20
+    characters when it is longer."""
+    return repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}... ({len(cell)} characters)"
+
+
+# a cell's leading zeros, but for the last digit
+_LEADING_ZEROS = re.compile(r"^(\s*[-+]?)0+(?=\d)")
+
+
+def _int(cell: str) -> int:
+    """int(cell), which also reads a cell that loadtxt reads past int()'s
+    4300-digit limit: a zero-padded one is read without its leading zeros."""
+    try:
+        return int(cell)
+    except ValueError:
+        return int(_LEADING_ZEROS.sub(r"\1", cell, count=1))
+
+
+def _float(cell: str) -> float:
+    """float(cell), whose error shows the cell as `_shown` does."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"could not convert string to float: {_shown(cell)}") from None
+
+
 def _qubit_id(text: str) -> int:
     """A qubit id cell: ASCII decimal digits only, where int() alone would
     also take '1_0', ' 3', '+3' and non-ASCII digits."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"bad qubit id {text!r}")
+        raise ValueError(f"bad qubit id {_shown(text)}")
     return int(text)
 
 
@@ -77,12 +105,11 @@ def read_raw(path) -> RawCounts:
     """Read a raw-counts CSV; duplicate-h rows are merged by summation.
 
     The data rows are parsed in one `np.loadtxt` call and checked as a whole
-    table.  Every cell loadtxt reads, int() and float() read to the same
-    value (save cells past int()'s 4300-digit limit, which the row reader
-    refuses), so a file loadtxt refuses, that fails a check, or that has a
+    table.  Every cell loadtxt reads, `_int` and float() read to the same
+    value, so a file loadtxt refuses, that fails a check, or that has a
     cell past csv's field-size limit, is read again row by row: that reader
     takes what loadtxt refuses (``1_0``, quoted cells, non-ASCII digits)
-    and names the first bad cell.
+    and names the first bad cell, showing at most its first 20 characters.
     """
     with open(path, newline="") as fh:
         try:
@@ -98,7 +125,7 @@ def read_raw(path) -> RawCounts:
             try:
                 ids.append(_qubit_id(name[5:]))
             except ValueError:
-                _fail(path, 1, f"bad qubit id in column name {name!r}")
+                _fail(path, 1, f"bad qubit id in column name {_shown(name)}")
             if ids[-1] >= 2**64:  # an id is a 64-bit stream key
                 _fail(path, 1, f"qubit id {ids[-1]} outside [0, 2**64)")
         if len(set(ids)) != len(ids):
@@ -168,11 +195,11 @@ def _read_rows(path, ids, n_cells):
     for line_no, row in _data_rows(path, n_cells):
         try:
             h = float(row[0])
-            samples = int(row[1])
+            samples = _int(row[1])
         except ValueError:
-            _fail(path, line_no, f"non-numeric h or samples: {row[:2]}")
+            _fail(path, line_no, f"non-numeric h or samples: [{_shown(row[0])}, {_shown(row[1])}]")
         if not math.isfinite(h):
-            _fail(path, line_no, f"non-finite h {row[0]!r}")
+            _fail(path, line_no, f"non-finite h {_shown(row[0])}")
         if samples <= 0:
             _fail(path, line_no, f"samples must be positive, got {samples}")
         total += samples
@@ -181,9 +208,9 @@ def _read_rows(path, ids, n_cells):
         cells = [samples]
         for q, cell in zip(ids, row[2:]):
             try:
-                c = int(cell)
+                c = _int(cell)
             except ValueError:
-                _fail(path, line_no, f"non-integer count {cell!r} for qubit {q}")
+                _fail(path, line_no, f"non-integer count {_shown(cell)} for qubit {q}")
             if not (0 <= c <= samples):
                 _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
             cells.append(c)
@@ -357,11 +384,11 @@ def _read_param_rows(path, header):
             q = _qubit_id(row["qubit_id"])
             if q > np.iinfo(np.int64).max:
                 raise ValueError(f"qubit id {q} past the int64 range")
-            theta = [float(row["beta"]), float(row["b"]), float(row["eta"]), float(row["gamma"])]
+            theta = [_float(row[k]) for k in PARAMS_HEADER[1:5]]
             _check_params(*theta)
-            log_likelihood = float(row.get("log_likelihood") or "nan")
-            n_points = int(row.get("n_points") or 0)
-            total_samples = int(row.get("total_samples") or 0)
+            log_likelihood = _float(row.get("log_likelihood") or "nan")
+            n_points = _int(row.get("n_points") or "0")
+            total_samples = _int(row.get("total_samples") or "0")
             if max(abs(n_points), abs(total_samples)) > np.iinfo(np.int64).max:
                 raise ValueError("n_points or total_samples past the int64 range")
         except ValueError as exc:
@@ -371,7 +398,7 @@ def _read_param_rows(path, header):
         seen.add(q)
         converged = row.get("converged") or ""
         if converged not in _CONVERGED_CODE:
-            _fail(path, line_no, f"converged must be true, false or empty, got {converged!r}")
+            _fail(path, line_no, f"converged must be true, false or empty, got {_shown(converged)}")
         rows.append((q, theta, log_likelihood, _CONVERGED_CODE[converged], n_points, total_samples))
     return zip(*rows) if rows else ([],) * 6
 

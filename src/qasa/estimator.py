@@ -39,13 +39,22 @@ operation would.  Every operation acts on each qubit alone, so a fit
 does not depend on which qubits share its block, and a qubit that has
 converged is not evaluated again.
 
-`fit_chip` writes each block's results straight into the columns of one
-`ChipFit`, the only form a fit takes: on its way to the params table and
-the chip report, and from `fit_qubit` as a table of one row.
+`fit_chip` cuts a chip into one contiguous part per CPU the process may
+run on, fits part 0 in the calling thread and each other part on a thread
+of its own, and writes every block's results straight into disjoint rows
+of the columns of one `ChipFit`, the only form a fit takes: on its way to
+the params table and the chip report, and from `fit_qubit` as a table of
+one row.  numpy lets go of the GIL inside each array operation, so the
+parts run side by side, and as a qubit's fit reads only its own column,
+the output is the same bits for any number of parts.  The threads call no
+public function of the package, so a tracer that wraps those sees every
+call on the caller's thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -80,8 +89,10 @@ LOW_ETA = 0.005
 # Two-sided coverage of the effective-field intervals: z = 3.
 CONFIDENCE = 0.9973
 
-# Qubits fitted together; bounds the fitter's working memory.
-_BLOCK = 256
+# Qubits fitted together; bounds each fitting thread's working memory.
+# Larger blocks make fewer, longer numpy calls, so threads hand the GIL
+# back to each other less often per qubit.
+_BLOCK = 512
 _MAX_ITER = 500
 # Converged: a full step would gain less than half of this in L.
 _DECREMENT_TOL = 1e-20
@@ -291,10 +302,10 @@ def log_likelihood(p: QubitParams, h, means, weights=None):
     return float(_objective(h, np.array([p.astuple()]), means, weights)[0][0])
 
 
-def _initial_guess(h, means, samples):
+def _initial_guess(h, means, lim):
     """Data-driven start per qubit of means (F, Q): slope/intercept of
-    arctanh(mean) vs h near the origin."""
-    lim = clamp_limit(samples)[:, None]
+    arctanh(mean) vs h near the origin, the means clipped to +-lim (F, 1),
+    the `clamp_limit` of each field's samples."""
     y = np.arctanh(np.clip(means, -lim, lim))
     sel = np.abs(h) <= 0.3
     if np.unique(h[sel]).size < 2:
@@ -325,14 +336,15 @@ def _newton(theta, score, info, fixed=None):
     return fixed, scale, g, a, _fieldsum((g * np.linalg.solve(a, g))[..., 0].T)
 
 
-def _fit_block(h, weights, means, samples):
-    """Damped Fisher scoring on every qubit of means (F, Q) at once.
+def _fit_block(h, weights, means, lim):
+    """Damped Fisher scoring on every qubit of means (F, Q) at once, from
+    the start that `_initial_guess` takes with the clamp limits lim (F, 1).
 
     A qubit that has converged is left out of every later evaluation,
     which changes nothing else, as each qubit's steps depend on its own
     rows alone.  Returns (theta (Q, 4), log-likelihood (Q,), converged (Q,)).
     """
-    theta = _initial_guess(h, means, samples)
+    theta = _initial_guess(h, means, lim)
     ll, score, info = _objective(h, theta, means, weights)
     damping = np.full(len(theta), _DAMPING[0])
     done = np.zeros(len(theta), dtype=bool)
@@ -388,6 +400,26 @@ def _check_fields(counts: RawCounts) -> int:
     return h.size
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the system reports one, which taskset and cpusets narrow, else every
+    CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_rows(rows, h, weights, m, lim, table, out):
+    """Fit the qubits of table's rows `rows`, `_BLOCK` at a time, into the
+    same rows of the columns out = (theta, ll, converged)."""
+    for start in range(rows.start, rows.stop, _BLOCK):
+        block = slice(start, min(start + _BLOCK, rows.stop))
+        # field-major: each qubit is a column
+        means = np.ascontiguousarray(((m - 2.0 * table[block]) / m).T)
+        for column, value in zip(out, _fit_block(h, weights, means, lim)):
+            column[block] = value
+
+
 def fit_chip(counts: RawCounts, workers: int = 1):
     """Maximum-likelihood parameters of every qubit, fitted independently.
 
@@ -399,9 +431,14 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     with enough fields but no qubits raises FitError too, as does a qubit
     id of 2**63 or more, which the fit's int64 id column cannot hold.
 
-    Qubits are fitted `_BLOCK` at a time in this process.  `workers` is
-    accepted for compatibility and changes nothing: a result depends only
-    on its own qubit's counts, so the output is identical for any value.
+    The qubits are cut into k contiguous parts of near-equal size, k the
+    number of CPUs the process may run on but no more than the number of
+    `_BLOCK`-qubit blocks.  Part 0 is fitted in the calling thread and
+    each other part on a thread of its own, `_BLOCK` qubits at a time.
+    An error in any part is raised once every thread has been joined, and
+    no thread outlives the call.  A result depends only on its own
+    qubit's counts, so the output is identical for any k.  `workers` is
+    accepted for compatibility and changes nothing.
     """
     n_points = _check_fields(counts)
     ids = counts.qubit_ids
@@ -410,14 +447,33 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     if ids[-1] > np.iinfo(np.int64).max:
         raise FitError(f"qubit id {ids[-1]} past the int64 range of a fit")
     n = len(ids)
-    theta, ll, converged = np.empty((n, 4)), np.empty(n), np.empty(n, dtype=np.int8)
+    out = theta, ll, converged = np.empty((n, 4)), np.empty(n), np.empty(n, dtype=np.int8)
     m = counts.samples.astype(float)
-    weights = m / m.sum()
-    for start in range(0, n, _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        # field-major: each qubit is a column
-        means = np.ascontiguousarray(((m - 2.0 * counts.table[rows]) / m).T)
-        theta[rows], ll[rows], converged[rows] = _fit_block(counts.h, weights, means, counts.samples)
+    # made here, in the calling thread: the parts call no public function
+    args = (counts.h, m / m.sum(), m, clamp_limit(m)[:, None], counts.table, out)
+    k = min(_cpus(), -(-n // _BLOCK))
+    parts = [slice(n * p // k, n * (p + 1) // k) for p in range(k)]
+    errors = [None] * k
+
+    def fit_part(p):
+        try:
+            _fit_rows(parts[p], *args)
+        except BaseException as exc:  # raised in the calling thread
+            errors[p] = exc
+
+    started = []
+    try:
+        for p in range(1, k):
+            thread = threading.Thread(target=fit_part, args=(p,), name=f"fit_chip part {p}")
+            thread.start()
+            started.append(thread)
+        _fit_rows(parts[0], *args)
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     low_eta = theta[:, 2] < LOW_ETA
     # eta/gamma sitting on their natural zero floor is ordinary, not a
     # search-box artifact, so only the remaining edges are flagged

@@ -1,4 +1,8 @@
 import dataclasses
+import inspect
+import sys
+import threading
+from contextlib import ExitStack
 from statistics import NormalDist
 from unittest import mock
 
@@ -18,7 +22,7 @@ from qasa import (
     sample_counts,
     simulate_chip,
 )
-from qasa import estimator
+from qasa import estimator, model
 from qasa.estimator import EffectiveFieldEstimate, FitError, clamp_limit
 from qasa.model import _R_EPS, _mixture
 from qasa.presets import MEDIAN
@@ -362,7 +366,7 @@ class TestStartPoint:
 
         with mock.patch.object(estimator, "_objective", counting):
             fit, _ = fit_chip(counts)
-        with mock.patch.object(estimator, "_initial_guess", lambda h, means, samples: truth.copy()):
+        with mock.patch.object(estimator, "_initial_guess", lambda h, means, lim: truth.copy()):
             from_truth, _ = fit_chip(counts)
         return counts, fit, from_truth, rows
 
@@ -514,6 +518,91 @@ class TestFitChip:
             fit_qubit(few, 1)
         assert str(chip.value) == str(qubit.value) == \
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]"
+
+
+class TestThreadedParts:
+    """MIXED_CHIP in blocks of 2 qubits, so in up to six parts."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self):
+        with mock.patch.object(estimator, "_BLOCK", 2):
+            yield
+
+    def fit_on(self, cpus):
+        threads = []
+        fit_block = estimator._fit_block
+
+        def recording(*args):
+            # the thread itself: a finished thread's ident may be reused
+            threads.append(threading.current_thread())
+            return fit_block(*args)
+
+        with mock.patch.object(estimator, "_cpus", lambda: cpus), \
+                mock.patch.object(estimator, "_fit_block", recording):
+            fit, _ = fit_chip(MIXED_CHIP)
+        return fit, set(threads)
+
+    def test_cpu_count_invariance(self):
+        one, threads = self.fit_on(1)
+        assert threads == {threading.current_thread()}
+        # six parts, more threads than this machine may have cores, made
+        # to switch often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fits = {cpus: self.fit_on(cpus) for cpus in (2, 3, 6)}
+        finally:
+            sys.setswitchinterval(interval)
+        for cpus, (fit, threads) in fits.items():
+            assert len(threads) == cpus and threading.current_thread() in threads
+            for column in dataclasses.fields(fit):
+                assert _same_bits(getattr(fit, column.name), getattr(one, column.name)), (cpus, column.name)
+
+    @pytest.mark.parametrize("qubit", [0, 11], ids=["first part", "last part"])
+    def test_an_error_in_one_part_is_raised_after_every_thread_is_joined(self, qubit):
+        m = MIXED_CHIP.samples.astype(float)
+        column = (m - 2.0 * MIXED_CHIP.table[qubit]) / m
+        error = FloatingPointError("in one part")
+        fit_block = estimator._fit_block
+
+        def failing(h, weights, means, lim):
+            if (means == column[:, None]).all(axis=0).any():
+                raise error
+            return fit_block(h, weights, means, lim)
+
+        before = threading.active_count()
+        with mock.patch.object(estimator, "_cpus", lambda: 3), \
+                mock.patch.object(estimator, "_fit_block", failing), pytest.raises(FloatingPointError) as raised:
+            fit_chip(MIXED_CHIP)
+        assert raised.value is error
+        assert threading.active_count() == before
+
+    def test_public_calls_stay_on_the_calling_thread(self):
+        # a tracer that wraps every public function, as the benchmark's
+        # does, keeps one stack of open spans, which a call from another
+        # thread would interleave
+        public = {obj for mod in (estimator, model) for name, obj in vars(mod).items()
+                  if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__}
+        calls = []
+
+        def recorder(fn):
+            def recording(*args, **kwargs):
+                calls.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recording
+
+        with ExitStack() as stack:
+            stack.enter_context(mock.patch.object(estimator, "_cpus", lambda: 2))
+            for name, ns in list(sys.modules.items()):
+                if name == "qasa" or name.startswith("qasa."):
+                    for attr, obj in list(vars(ns).items()):
+                        if inspect.isfunction(obj) and obj in public:
+                            stack.enter_context(mock.patch.object(ns, attr, recorder(obj)))
+            fit, _ = estimator.fit_chip(MIXED_CHIP)
+        assert len(fit) == 12
+        names = {name for name, _ in calls}
+        assert {"fit_chip", "clamp_limit"} <= names
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def _mixture_reference(h, theta, grad=False):

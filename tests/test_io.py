@@ -286,6 +286,20 @@ class TestRawParsers:
         counts = read_raw(path)
         assert (counts.h[0], counts.samples[0], counts.counts[4][0]) == expected
 
+    @pytest.mark.parametrize("later_row,table_parse", [("", True), ("0.5,2000,1_0\n", False)],
+                             ids=["table parse", "row reader"])
+    def test_zero_padded_count_past_the_int_digit_limit(self, tmp_path, later_row, table_parse):
+        # loadtxt reads a count padded past int()'s 4300-digit limit; a `1_0`
+        # count on a later row sends the same file to the row reader, which
+        # must read it to the same value
+        path = tmp_path / "raw.csv"
+        path.write_text(f"h,samples,spin_4\n-0.5,2000,{'0' * 4400}1000\n{later_row}")
+        with open(path, newline="") as fh:
+            next(csv.reader(fh))
+            assert (_parse_rows(fh, 3) is not None) == table_parse
+        counts = read_raw(path)
+        assert counts.h[0] == -0.5 and counts.counts[4][0] == 1000
+
     @pytest.mark.parametrize("name", ["spin_1_0", "spin_ 3", "spin_٣٤", "spin_+3", "spin_-1", "spin_3 "])
     def test_rejects_non_decimal_qubit_ids(self, tmp_path, name):
         path = tmp_path / "raw.csv"
@@ -341,6 +355,22 @@ class TestRawErrors:
         with pytest.raises(FormatError) as exc:
             read_raw(path)
         assert str(exc.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ("x" * 5000 + ",100,5", "non-numeric h or samples: ['xxxxxxxxxxxxxxxxxxxx'... (5000 characters), '100']"),
+            ("inf" + " " * 5000 + ",100,5", "non-finite h 'inf                 '... (5003 characters)"),
+            ("0.1,100," + "1" * 5000, "non-integer count '11111111111111111111'... (5000 characters) for qubit 3"),
+        ],
+        ids=["h", "non-finite h", "count"],
+    )
+    def test_an_error_shows_a_long_cell_cut_short(self, tmp_path, cells, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"h,samples,spin_3\n0.0,100,5\n{cells}\n")
+        with pytest.raises(FormatError) as exc:
+            read_raw(path)
+        assert str(exc.value) == f"{path}:3: {message}"
 
     @pytest.mark.parametrize(
         "cells,message",
@@ -467,6 +497,25 @@ class TestParamsTable:
             read_params(path)
         assert ":3:" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "column,message",
+        [
+            ("beta", "could not convert string to float: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+            ("log_likelihood", "could not convert string to float: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+            ("converged", "converged must be true, false or empty, got 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ],
+        ids=["beta", "log_likelihood", "converged"],
+    )
+    def test_an_error_shows_a_long_cell_cut_short(self, tmp_path, column, message):
+        header = ["qubit_id", "beta", "b", "eta", "gamma", "log_likelihood", "converged"]
+        row = ["1", "10", "0.0", "0.03", "0.01", "-1.5", "true"]
+        row[header.index(column)] = "x" * 5000
+        path = tmp_path / "params.csv"
+        path.write_text(f"{','.join(header)}\n0,10,0,0.1,0,-1.5,true\n{','.join(row)}\n")
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
     @pytest.mark.parametrize("cell", ["1_0", " 3", "3 ", "٣٤", "+3", "-1", "3\0"])
     def test_rejects_non_decimal_qubit_ids(self, tmp_path, cell):
         path = tmp_path / "params.csv"
@@ -548,6 +597,9 @@ class TestParamsParsers:
             (PARAMS_HEADER[:9], "0,10,0,0.1,0,,,,", (0, 10.0, -1, 0, float("nan"))),
             (PARAMS_HEADER[:9], "0,10,0,0.1,0,-1.5,٣,8,true", (0, 10.0, 1, 3, -1.5)),
             (PARAMS_HEADER[:5] + ["note"], '0,10,0,0.1,0,"a,b"', (0, 10.0, -1, 0, float("nan"))),
+            # n_points padded past int()'s 4300-digit limit, which loadtxt reads
+            pytest.param(PARAMS_HEADER[:9], f"0,1_0,0,0.1,0,-1.5,{'0' * 4400}81,8,true", (0, 10.0, 1, 81, -1.5),
+                         id="zero-padded n_points"),
         ],
     )
     def test_cells_only_the_row_reader_takes(self, tmp_path, header, row, expected):
