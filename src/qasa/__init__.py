@@ -5,14 +5,13 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .model import (
     ParameterError,
     QubitParams,
     density_matrix_expectation,
     effective_field,
-    outcome_probability,
     spin_expectation,
 )
 from .simulator import RawCounts, SweepDesign, field_grid, sample_counts, simulate_chip
@@ -25,7 +24,7 @@ from .estimator import (
     fit_qubit,
     log_likelihood,
 )
-from .topology import ChimeraSpec, parse_chip, sites
+from .topology import ChimeraSpec, sites
 from .analysis import (
     AnnealSweepPoint,
     DistributionSummary,

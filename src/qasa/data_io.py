@@ -66,23 +66,34 @@ def _long_cell(lines):
     return any(len(cell) > limit for line in lines if len(line) > limit for cell in line.split(","))
 
 
-def _shown(cell: str) -> str:
-    """A cell as an error message shows it: its repr, cut to its first 20
-    characters when it is longer."""
-    return repr(cell) if len(cell) <= 20 else f"{cell[:20]!r}... ({len(cell)} characters)"
+def _shown(cell: str, value=None) -> str:
+    """A cell as an error message shows it: its value if one is given, else
+    its repr, or its first 20 characters and its length when it is longer."""
+    if len(cell) > 20:
+        return f"{cell[:20]!r}... ({len(cell)} characters)"
+    return repr(cell) if value is None else str(value)
 
 
-# a cell's leading zeros, but for the last digit
+# a cell that int() reads as a decimal integer but for its digit limit,
+# and a cell's leading zeros but for the last digit
+_INTEGER = re.compile(r"\s*[-+]?\d+(?:_\d+)*\s*")
 _LEADING_ZEROS = re.compile(r"^(\s*[-+]?)0+(?=\d)")
 
 
-def _int(cell: str) -> int:
-    """int(cell), which also reads a cell that loadtxt reads past int()'s
-    4300-digit limit: a zero-padded one is read without its leading zeros."""
+def _int(cell: str):
+    """int(cell), also past int()'s 4300-digit limit: a zero-padded
+    integer reads as its value, as loadtxt reads it, and one of more
+    significant digits, past every int64, as -inf or inf."""
     try:
         return int(cell)
     except ValueError:
-        return int(_LEADING_ZEROS.sub(r"\1", cell, count=1))
+        if not _INTEGER.fullmatch(cell):
+            raise
+    digits = _LEADING_ZEROS.sub(r"\1", cell.replace("_", ""), count=1)
+    try:
+        return int(digits)
+    except ValueError:
+        return -math.inf if "-" in digits else math.inf
 
 
 def _float(cell: str) -> float:
@@ -98,7 +109,7 @@ def _qubit_id(text: str) -> int:
     also take '1_0', ' 3', '+3' and non-ASCII digits."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"bad qubit id {_shown(text)}")
-    return int(text)
+    return _int(text)
 
 
 def read_raw(path) -> RawCounts:
@@ -127,7 +138,7 @@ def read_raw(path) -> RawCounts:
             except ValueError:
                 _fail(path, 1, f"bad qubit id in column name {_shown(name)}")
             if ids[-1] >= 2**64:  # an id is a 64-bit stream key
-                _fail(path, 1, f"qubit id {ids[-1]} outside [0, 2**64)")
+                _fail(path, 1, f"qubit id {_shown(name[5:], ids[-1])} outside [0, 2**64)")
         if len(set(ids)) != len(ids):
             _fail(path, 1, "duplicate spin columns")
         # a valid header holds no quoted line break, so fh is now at line 2
@@ -201,7 +212,9 @@ def _read_rows(path, ids, n_cells):
         if not math.isfinite(h):
             _fail(path, line_no, f"non-finite h {_shown(row[0])}")
         if samples <= 0:
-            _fail(path, line_no, f"samples must be positive, got {samples}")
+            _fail(path, line_no, f"samples must be positive, got {_shown(row[1], samples)}")
+        if samples > np.iinfo(np.int64).max:
+            _fail(path, line_no, f"samples {_shown(row[1], samples)} past the int64 range")
         total += samples
         if total > np.iinfo(np.int64).max:
             _fail(path, line_no, f"samples add up to {total}, past the int64 range")
@@ -212,7 +225,7 @@ def _read_rows(path, ids, n_cells):
             except ValueError:
                 _fail(path, line_no, f"non-integer count {_shown(cell)} for qubit {q}")
             if not (0 <= c <= samples):
-                _fail(path, line_no, f"count {c} outside [0, {samples}] for qubit {q}")
+                _fail(path, line_no, f"count {_shown(cell, c)} outside [0, {samples}] for qubit {q}")
             cells.append(c)
         hs.append(h)
         rows.append(cells)
@@ -383,7 +396,7 @@ def _read_param_rows(path, header):
         try:
             q = _qubit_id(row["qubit_id"])
             if q > np.iinfo(np.int64).max:
-                raise ValueError(f"qubit id {q} past the int64 range")
+                raise ValueError(f"qubit id {_shown(row['qubit_id'], q)} past the int64 range")
             theta = [_float(row[k]) for k in PARAMS_HEADER[1:5]]
             _check_params(*theta)
             log_likelihood = _float(row.get("log_likelihood") or "nan")

@@ -250,20 +250,6 @@ def effective_field(h, p: QubitParams):
     return (0.5 * (np.log(op) - np.log(om))).reshape(h.shape)
 
 
-def outcome_probability(h_eff):
-    """(P[sigma=+1], P[sigma=-1]) for a given effective field.
-
-    Overflow-safe: p_plus = logistic(2*h_eff); the pair sums to 1 exactly
-    in floating point.
-    """
-    h_eff = np.asarray(h_eff, dtype=float)
-    if not np.all(np.isfinite(h_eff)):
-        raise ValueError("h_eff must be finite")
-    with np.errstate(over="ignore"):
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * h_eff))
-    return p_plus, 1.0 - p_plus
-
-
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 

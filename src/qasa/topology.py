@@ -55,8 +55,8 @@ def sites(ids, spec: ChimeraSpec):
 
 
 def _chip_grid(text: str) -> int:
-    """The grid side n of a chip spec string ``chimera:<n>``, checked as
-    `parse_chip` checks it, without building the chip's 8n^2 ids."""
+    """The grid side n of a chip spec string ``chimera:<n>``, checked by
+    `ChimeraSpec` without building the chip's 8n^2 ids."""
     kind, sep, arg = text.partition(":")
     if kind != "chimera" or not sep:
         raise TopologyError(f"unsupported chip spec {text!r}, expected chimera:<n>")
@@ -66,7 +66,3 @@ def _chip_grid(text: str) -> int:
         raise TopologyError(f"bad grid size in chip spec {text!r}") from None
     return ChimeraSpec(grid=n, operational=()).grid
 
-
-def parse_chip(text: str) -> ChimeraSpec:
-    """Parse a chip spec string of the form ``chimera:<n>``."""
-    return ChimeraSpec(grid=_chip_grid(text))

@@ -21,7 +21,6 @@ from qasa import (
     fit_log_trend,
     fit_qubit,
     orientation_split,
-    outcome_probability,
     read_params,
     read_raw,
     sample_counts,
@@ -32,8 +31,9 @@ from qasa import (
 from qasa.analysis import AnnealSweepPoint
 from qasa.cli import EXIT_OK, main
 from qasa.data_io import raw_to_bytes
+from qasa.model import _theta
 from qasa.presets import preset_truth
-from qasa.simulator import RawCounts
+from qasa.simulator import RawCounts, _p_minus
 from qasa.topology import ChimeraSpec
 
 FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
@@ -132,7 +132,10 @@ def test_a4_hv_split_detection():
 
 
 def test_a5_misalignment_rate():
-    _, p_minus = outcome_probability(5.0)
+    # the simulator's own -1 rate at h_eff = 5: a classical qubit of
+    # beta 5 at h = 1, whose rate is (1 - tanh 5)/2
+    theta = _theta(QubitParams(beta=5.0, b=0.0, eta=0.0, gamma=0.0))
+    p_minus = float(_p_minus(theta, SweepDesign((1.0,), 1))[0, 0])
     ok = abs(p_minus - 1.0 / 22026) / (1.0 / 22026) <= 0.01
     report("A5 misalignment rate at h_eff=5", ok, f"p_minus={p_minus:.3e}")
 

@@ -141,7 +141,9 @@ class TestSimulate:
         _, raw, params = mini_run
         for chip, message in [
             ("pegasus:4", "unsupported chip spec 'pegasus:4', expected chimera:<n>"),
+            ("chimera", "unsupported chip spec 'chimera', expected chimera:<n>"),
             ("chimera:x", "bad grid size in chip spec 'chimera:x'"),
+            ("chimera:", "bad grid size in chip spec 'chimera:'"),
             ("chimera:0", "grid side must be >= 1, got 0"),
         ]:
             for argv in (

@@ -292,7 +292,63 @@ def _mixed_chip(n, seed):
 MIXED_CHIP = _mixed_chip(12, 3)
 
 
+def _means_and_weights(counts):
+    """The field-major spin means (F, Q) and field weights of counts, as
+    `fit_chip` gives them to `_objective`."""
+    m = counts.samples.astype(float)
+    return ((m - 2.0 * counts.table) / m).T, m / m.sum()
+
+
 class TestLikelihoodMaximum:
+    @pytest.fixture(scope="class")
+    def stress_set(self):
+        """36 chips of 50 qubits spread over the whole box, a fifth of
+        their eta and a fifth of their gamma at zero, each fitted: 6 seeds
+        x 26, 41 and 81 fields x 1e5 and 5e6 shots.  Each is (key, counts,
+        truth theta, fit)."""
+        chips = []
+        for seed in range(100, 106):
+            rng = np.random.default_rng(seed)
+            for n_fields in (26, 41, 81):
+                for shots in (100_000, 5_000_000):
+                    theta = np.column_stack([rng.uniform(1.0, 60.0, 50), rng.uniform(-0.1, 0.1, 50),
+                                             rng.uniform(0.0, 0.1, 50), rng.uniform(0.0, 0.1, 50)])
+                    theta[rng.random(50) < 0.2, 2] = 0.0
+                    theta[rng.random(50) < 0.2, 3] = 0.0
+                    design = SweepDesign(np.linspace(-1, 1, n_fields), shots, seed=1000 * seed + n_fields)
+                    counts = simulate_chip((list(range(50)), theta), design)
+                    chips.append(((seed, n_fields, shots), counts, theta, fit_chip(counts)[0]))
+        return chips
+
+    def test_no_fit_ends_below_the_truth(self, stress_set):
+        # the local maxima once seen on such chips: 0 of 1800 when this
+        # set was committed
+        below = []
+        for key, counts, truth, fit in stress_set:
+            truth_ll = estimator._objective(counts.h, truth, *_means_and_weights(counts))[0]
+            below += [(key, q) for q in np.flatnonzero(fit.log_likelihood < truth_ll - 1e-12)]
+        assert below == []
+
+    @pytest.mark.xfail(strict=True, reason="a fit near gamma's zero floor can be stopped short by "
+                                           "the rule that a fine step must shrink the decrement")
+    def test_fits_at_the_gamma_floor_are_maxima(self, stress_set):
+        # each qubit fitted to gamma < 1e-5 is fitted again from its own
+        # fit with gamma raised to 1e-3; 1 of 339 rose, by 3.65e-10 (seed
+        # 105, 26 fields, 5e6 shots, qubit 42, gamma 2.2e-8 -> 1.3e-4)
+        rises = []
+        for key, counts, _, fit in stress_set:
+            low = np.flatnonzero(fit.theta[:, 3] < 1e-5)
+            if not low.size:
+                continue
+            start = fit.theta[low]
+            start[:, 3] = 1e-3
+            some = RawCounts(counts.h, counts.samples, (low.tolist(), counts.table[low]))
+            with mock.patch.object(estimator, "_initial_guess", lambda h, means, lim: start.copy()):
+                again, _ = fit_chip(some)
+            rise = again.log_likelihood - fit.log_likelihood[low]
+            rises += [(key, q, r) for q, r in zip(low.tolist(), rise.tolist()) if r > 1e-12]
+        assert rises == []
+
     def test_low_noise_fits_reach_the_maximum(self):
         # eta and gamma both near their zero floor, where the likelihood is
         # nearly flat in them; no fit may end below the truth's likelihood
@@ -350,13 +406,37 @@ def _body_chip(seed, n=256):
     return simulate_chip((ids.tolist(), theta), SweepDesign(field_grid(), 5_000_000, seed=seed)), theta
 
 
+def _wide_chip(seed, n=256):
+    """(counts, truth theta) of n qubits drawn across the inside of the
+    fit's box at 81 fields of 5e6 shots: beta log-uniform on [1, 60], b
+    uniform on [-0.1, 0.1], and eta and gamma uniform on [0.001, 0.1],
+    off their zero floor, so that the truth is a start inside the box."""
+    rng = np.random.default_rng(seed)
+    theta = np.column_stack([
+        np.exp(rng.uniform(0.0, np.log(60.0), n)),
+        rng.uniform(-0.1, 0.1, n),
+        rng.uniform(0.001, 0.1, n),
+        rng.uniform(0.001, 0.1, n),
+    ])
+    return simulate_chip((list(range(n)), theta), SweepDesign(field_grid(), 5_000_000, seed=seed)), theta
+
+
 class TestStartPoint:
     """One block of 256 qubits fitted from the data start and from the
-    truth; the seed was fixed before either was looked at."""
+    truth; the seed was fixed before either was looked at.  This set is
+    drawn as the benchmark draws its chip's body."""
+
+    # the fit's work, free of the machine's speed: 1330 qubit evaluations
+    # (5.2 per qubit) when this bound was set, plus 5%
+    MAX_ROWS = 1396
+
+    @staticmethod
+    def chip():
+        return _body_chip(2201)
 
     @pytest.fixture(scope="class")
-    def fits(self):
-        counts, truth = _body_chip(2201)
+    def fits(self, request):
+        counts, truth = request.cls.chip()
         rows = []
         objective = estimator._objective
 
@@ -373,18 +453,28 @@ class TestStartPoint:
     def test_fit_does_not_depend_on_the_start(self, fits):
         counts, fit, from_truth, _ = fits
         assert fit.converged.all() and from_truth.converged.all()
-        m = counts.samples.astype(float)
-        info = estimator._objective(counts.h, fit.theta, ((m - 2.0 * counts.table) / m).T, m / m.sum())[2]
+        info = estimator._objective(counts.h, fit.theta, *_means_and_weights(counts))[2]
         se = np.sqrt(np.diagonal(np.linalg.inv(info), axis1=1, axis2=2) / fit.total_samples[:, None])
-        # the largest was 2.5e-6 SE when this bound was set
+        # the largest was 2.5e-6 SE on the body set and 2.4e-6 SE on the
+        # wide set when this bound was set
         assert (np.abs(from_truth.theta - fit.theta) <= 1e-3 * se).all()
 
     def test_evaluation_count(self, fits):
-        # the fit's work, free of the machine's speed: 1330 qubit
-        # evaluations (5.2 per qubit) when this bound was set, plus 5%
         rows = fits[3]
         assert rows[0] == 256
-        assert sum(rows) <= 1396
+        assert sum(rows) <= self.MAX_ROWS
+
+
+class TestStartPointWide(TestStartPoint):
+    """The same checks on 256 qubits drawn across the box, where the data
+    start is poorer: the evaluation count a better start must lower."""
+
+    # 2639 qubit evaluations (10.3 per qubit) when this bound was set, plus 5%
+    MAX_ROWS = 2770
+
+    @staticmethod
+    def chip():
+        return _wide_chip(2402)
 
 
 class TestFitChip:

@@ -344,6 +344,11 @@ class TestRawErrors:
             ("h,samples,spin_1,spin_18446744073709551617\n0.0,100,5,6\n",
              "1: qubit id 18446744073709551617 outside [0, 2**64)"),
             ("h,samples,spin_18446744073709551616\n0.0,100,5\n", "1: qubit id 18446744073709551616 outside [0, 2**64)"),
+            pytest.param("h,samples,spin_" + "1" * 5000 + "\n0.0,100,5\n",
+                         "1: qubit id '11111111111111111111'... (5000 characters) outside [0, 2**64)",
+                         id="qubit id past the digit limit"),
+            ("h,samples,spin_3\n0.0,100,5\n0.1,9223372036854775808,5\n",
+             "3: samples 9223372036854775808 past the int64 range"),
             # loadtxt takes an unquoted cell past csv's limit; the row reader does not
             pytest.param("h,samples,spin_3\n0.5,100,5\n0." + "0" * 199_999 + ",100,6\n",
                          "3: field larger than field limit (131072)", id="unquoted cell past the csv limit"),
@@ -361,9 +366,17 @@ class TestRawErrors:
         [
             ("x" * 5000 + ",100,5", "non-numeric h or samples: ['xxxxxxxxxxxxxxxxxxxx'... (5000 characters), '100']"),
             ("inf" + " " * 5000 + ",100,5", "non-finite h 'inf                 '... (5003 characters)"),
-            ("0.1,100," + "1" * 5000, "non-integer count '11111111111111111111'... (5000 characters) for qubit 3"),
+            ("0.1,100," + "1" * 4999 + "x", "non-integer count '11111111111111111111'... (5000 characters) for qubit 3"),
+            # int() refuses an integer of more than 4300 digits as it refuses
+            # a non-integer; such a cell is an integer out of range
+            ("0.1,100," + "1" * 5000,
+             "count '11111111111111111111'... (5000 characters) outside [0, 100] for qubit 3"),
+            ("0.1,100,-" + "1" * 5000,
+             "count '-1111111111111111111'... (5001 characters) outside [0, 100] for qubit 3"),
+            ("0.1," + "1" * 5000 + ",5", "samples '11111111111111111111'... (5000 characters) past the int64 range"),
         ],
-        ids=["h", "non-finite h", "count"],
+        ids=["h", "non-finite h", "count", "count past the digit limit", "negative count past the digit limit",
+             "samples past the digit limit"],
     )
     def test_an_error_shows_a_long_cell_cut_short(self, tmp_path, cells, message):
         path = tmp_path / "bad.csv"
@@ -512,6 +525,27 @@ class TestParamsTable:
         row[header.index(column)] = "x" * 5000
         path = tmp_path / "params.csv"
         path.write_text(f"{','.join(header)}\n0,10,0,0.1,0,-1.5,true\n{','.join(row)}\n")
+        with pytest.raises(FormatError) as exc:
+            read_params(path)
+        assert str(exc.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize(
+        "column,cell,message",
+        [
+            ("n_points", "9" * 5000, "n_points or total_samples past the int64 range"),
+            ("total_samples", "-" + "9" * 5000, "n_points or total_samples past the int64 range"),
+            ("qubit_id", "9" * 5000, "qubit id '99999999999999999999'... (5000 characters) past the int64 range"),
+        ],
+        ids=["n_points", "negative total_samples", "qubit_id"],
+    )
+    def test_an_integer_past_the_digit_limit_is_out_of_range(self, tmp_path, column, cell, message):
+        # int() refuses a decimal integer of more than 4300 digits with its
+        # own message; such a cell is an integer past the int64 range
+        header = ["qubit_id", "beta", "b", "eta", "gamma", "n_points", "total_samples"]
+        row = ["1", "10", "0.0", "0.03", "0.01", "81", "8100"]
+        row[header.index(column)] = cell
+        path = tmp_path / "params.csv"
+        path.write_text(f"{','.join(header)}\n0,10,0,0.1,0,81,8100\n{','.join(row)}\n")
         with pytest.raises(FormatError) as exc:
             read_params(path)
         assert str(exc.value) == f"{path}:3: {message}"

@@ -8,9 +8,10 @@ from qasa import (
     density_matrix_expectation,
     effective_field,
     field_grid,
-    outcome_probability,
     spin_expectation,
 )
+from qasa.model import _theta
+from qasa.simulator import SweepDesign, _p_minus
 
 FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
 
@@ -78,26 +79,12 @@ class TestEffectiveField:
 
 
 class TestOutcomeProbability:
-    def test_zero_field_is_fair(self):
-        assert outcome_probability(0.0) == (0.5, 0.5)
-
     def test_misalignment_rate_at_five(self):
-        _, p_minus = outcome_probability(5.0)
+        # the simulator's -1 rate of a classical qubit of beta 5 at h = 1,
+        # h_eff = 5: (1 - tanh 5)/2
+        theta = _theta(QubitParams(beta=5.0, b=0.0, eta=0.0, gamma=0.0))
+        p_minus = float(_p_minus(theta, SweepDesign((1.0,), 1))[0, 0])
         assert p_minus == pytest.approx(1.0 / 22026, rel=0.01)
-
-    def test_unit_field(self):
-        p_plus, _ = outcome_probability(1.0)
-        assert p_plus == pytest.approx(1.0 / (1.0 + np.exp(-2.0)), abs=1e-15)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            outcome_probability(float("nan"))
-
-    @given(st.floats(min_value=-50, max_value=50))
-    def test_normalization_exact(self, h_eff):
-        p_plus, p_minus = outcome_probability(h_eff)
-        assert p_plus + p_minus == 1.0
-        assert 0.0 <= p_minus <= 1.0
 
 
 class TestSpinExpectation:
@@ -106,9 +93,11 @@ class TestSpinExpectation:
         assert spin_expectation(0.3, p) == pytest.approx(np.tanh(0.6), abs=1e-15)
 
     def test_equals_probability_difference(self):
-        he = effective_field(0.4, FIG1_PARAMS)
-        p_plus, p_minus = outcome_probability(he)
-        assert spin_expectation(0.4, FIG1_PARAMS) == pytest.approx(p_plus - p_minus, abs=1e-12)
+        # P[+1] - P[-1] = tanh(h_eff): the kernel's spin mean and its
+        # effective field, from the cancellation-free halves, agree
+        h = np.linspace(-1, 1, 41)
+        gap = spin_expectation(h, FIG1_PARAMS) - np.tanh(effective_field(h, FIG1_PARAMS))
+        assert np.max(np.abs(gap)) <= 1e-12
 
     def test_matches_oracle_at_fig1_point(self):
         assert abs(
