@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .model import (
     ParameterError,

@@ -418,6 +418,9 @@ def _read_param_rows(path, header):
 
 def write_report(report: dict, path):
     """Write an analysis report as one line of compact JSON with sorted keys;
-    with no indent, json uses its C encoder."""
+    with no indent, json uses its C encoder.  The report must be a tree, as
+    `build_report` makes it: the encoder does not look for cycles, so a dict
+    that contains itself hits the recursion limit (RecursionError) instead
+    of raising "Circular reference detected"."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(json.dumps(report, sort_keys=True) + "\n")
+        fh.write(json.dumps(report, sort_keys=True, check_circular=False) + "\n")

@@ -30,14 +30,17 @@ fields by qubits, and `_mixture` returns every term in that layout, dT as
 information terms into one (15, F, Q) buffer and sums it over fields with
 a single in-place pairwise halving, `_fieldsum`, which makes every other
 sum of the fitter too, so each runs in one fixed order.  A qubit needs
-only about five evaluations, so their cost is the fit's cost, and it is
-set by memory traffic: the kernel writes each noise sign's intermediates
-into one reused set of arrays, and `_objective` builds the likelihood
-and the score weight in slots of its terms buffer that are written only
-later, each element by the same expression as a fresh array per
-operation would.  Every operation acts on each qubit alone, so a fit
-does not depend on which qubits share its block, and a qubit that has
-converged is not evaluated again.
+only about five evaluations, so their cost is the fit's cost, which
+memory traffic and the kernel's few costly ufuncs set; `_mixture` takes
+well over half of each evaluation.  The kernel writes each noise sign's
+intermediates into one reused set of arrays, takes r from squares it
+needs anyway rather than from hypot, and multiplies by one reciprocal
+1/(2r) per sign rather than dividing by 2r, 2r^2 and 2r^3.  `_objective`
+builds the likelihood and the score weight in slots of its terms buffer
+that are written only later, each element by the same expression as a
+fresh array per operation would.  Every operation acts on each qubit
+alone, so a fit does not depend on which qubits share its block, and a
+qubit that has converged is not evaluated again.
 
 `fit_chip` cuts a chip into one contiguous part per CPU the process may
 run on, fits part 0 in the calling thread and each other part on a thread
@@ -108,8 +111,9 @@ _RIDGE = 1e-14
 _DAMPING = (1e-3, 1e8)  # initial and largest Levenberg-Marquardt damping
 # Floor on 1 -+ T against underflow at fields far outside [-1, 1].
 _TINY = 1e-300
-# Largest |h| fitted: the kernel's gradient cubes r = hypot(gamma*h, h + ...),
-# which overflows near |h| = 1e103, so a wider field is refused.
+# Largest |h| fitted or scored.  The kernel's gradient squares
+# r = |(gamma*h, h + b -+ eta)|, which overflows near |h| = 1.3e154; the
+# bound stays far inside that, and a wider field is refused.
 MAX_ABS_FIELD = 1e100
 
 
@@ -293,10 +297,12 @@ def _objective(h, theta, means, weights):
 
 
 def log_likelihood(p: QubitParams, h, means, weights=None):
-    """Weighted model likelihood of empirical spin means."""
+    """Weighted model likelihood of empirical spin means.  A field past
+    MAX_ABS_FIELD raises FitError, as it does in `fit_chip`."""
     h = np.asarray(h, dtype=float)
     if h.size == 0:
         raise FitError("no data points")
+    _check_range(h)
     weights = np.full(h.size, 1.0 / h.size) if weights is None else np.asarray(weights, dtype=float)
     means = np.asarray(means, dtype=float)[:, None]
     return float(_objective(h, np.array([p.astuple()]), means, weights)[0][0])
@@ -393,11 +399,17 @@ def _check_fields(counts: RawCounts) -> int:
         raise FitError(
             f"need >= 8 distinct fields spanning h < 0 and h > 0, got {h.size}{span}"
         )
+    _check_range(h)
+    return h.size
+
+
+def _check_range(h):
+    """Raise FitError, naming the first field of h past MAX_ABS_FIELD, if
+    there is one."""
     wide = h[np.abs(h) > MAX_ABS_FIELD]
     if wide.size:
         raise FitError(f"field {float(wide[0])!r} is outside [-{MAX_ABS_FIELD:g}, {MAX_ABS_FIELD:g}], "
                        f"where the model cannot be evaluated")
-    return h.size
 
 
 def _cpus() -> int:

@@ -106,7 +106,7 @@ def _mixture(h, theta, grad=False):
     `effective_field` takes the halves and drops dT.
 
     Each noise sign s contributes c*tanh(beta*r)/(2r) to T, with
-    c = h + b + s*eta and r = hypot(gamma*h, c).  A direct 1 -+ T cancels
+    c = h + b + s*eta and r = |(gamma*h, c)|.  A direct 1 -+ T cancels
     once tanh saturates (beta*r beyond ~19), so om and op are assembled
     from exact conjugate pairs: per sign, 1/2 -+ c*tanh(beta*r)/(2r) =
     (rm + c*eps)/(2r) resp. (rp - c*eps)/(2r), with rm = r - c,
@@ -115,14 +115,29 @@ def _mixture(h, theta, grad=False):
     cancels is taken as (gamma*h)^2/(r + |c|) and the other is r + |c|.
     Where r < _R_EPS the factors are replaced by their analytic limits.
 
+    The two branches take r differently.  Without `grad`, r is
+    hypot(gamma*h, c), which is finite for every finite field, so the
+    simulator's probabilities are too.  With `grad`, r is
+    sqrt(x*x + c*c), from the x*x = (gamma*h)^2 that the near term needs
+    anyway and the c*c that d/dc reuses, at a third of hypot's cost per
+    element; it lies within a few ulp of hypot, and is finite while r
+    stays below ~1.3e154, where the square overflows, far past the
+    fitter's MAX_ABS_FIELD.  That branch then forms one reciprocal per
+    sign, g = 1/r, and takes ir = 1/(2r) as g*0.5 and 1/(2r^2) as g*ir:
+    the halves and the derivatives are products with these, not quotients
+    by 2r, 2r^2 and 2r^3, and beta*r is made once for both tanh and exp.
+
     The kernel is bound by memory traffic, not arithmetic: a block of the
-    fitter is 81 x 256 doubles, and a fresh temporary per operation would
+    fitter is 81 x 512 doubles, and a fresh temporary per operation would
     keep dozens of them live, far more than a core's cache holds.  So the
     terms shared by both signs (gamma*h, its square and h + b) are made
-    once, each sign's intermediates are written with `out=` into one fixed
-    set of scratch arrays that the second sign reuses, and only the
-    outputs are new; a call without `grad` makes five scratch arrays.
-    Each element is still computed by the expression, and in the order,
+    once, and each sign's intermediates are written with `out=` into one
+    fixed set of scratch arrays that the second sign reuses; a call
+    without `grad` makes five scratch arrays.  Apart from the outputs,
+    the one new array per half and sign is the np.where that picks near
+    or far: it and one add or subtract give the same bits as a full op
+    followed by a masked `where=` op, at two thirds of their cost.  Each
+    element is still computed by the expression, and in the order,
     written beside its line.
     """
     h = np.asarray(h, dtype=float)
@@ -135,32 +150,43 @@ def _mixture(h, theta, grad=False):
     else:
         T = np.zeros(shape)
     # per-sign scratch, reused by the second sign
-    c, r, two_r, t = (np.empty(shape) for _ in range(4))
+    c, r = np.empty(shape), np.empty(shape)
     tiny = np.empty(shape, dtype=bool)
     f = np.empty(shape)
     if grad:
-        m2beta = -2.0 * beta
-        eps, u, v, w = (np.empty(shape) for _ in range(4))
+        g, ir, cc, eps, u, v, w = (np.empty(shape) for _ in range(7))
         xx = x * x
         side = np.empty(shape, dtype=bool)
+    else:
+        two_r, t = np.empty(shape), np.empty(shape)
     for s in (+1.0, -1.0):
         np.add(hb, s * eta, out=c)                  # c = h + b + s*eta
-        np.hypot(x, c, out=r)                       # r = hypot(x, c)
+        if grad:
+            np.multiply(c, c, out=cc)
+            np.add(xx, cc, out=r)
+            np.sqrt(r, out=r)                       # r = sqrt(x*x + c*c)
+        else:
+            np.hypot(x, c, out=r)                   # r = hypot(x, c)
         np.less(r, _R_EPS, out=tiny)
         some = tiny.any()
         if some:
             r[tiny] = 1.0                           # r is safe_r from here on
-        np.multiply(r, 2.0, out=two_r)              # 2r
-        # tanh saturates, no overflow risk at large beta*r
-        np.tanh(np.multiply(beta, r, out=f), out=f)
         if not grad:
+            # tanh saturates, no overflow risk at large beta*r
+            np.tanh(np.multiply(beta, r, out=f), out=f)
+            np.multiply(r, 2.0, out=two_r)          # 2r
             np.multiply(c, f, out=t)
             t /= two_r                              # c*f/(2r)
             if some:
                 t[tiny] = (c * beta / 2.0)[tiny]
             T += t
             continue
-        np.exp(np.multiply(m2beta, r, out=eps), out=eps)  # e = exp(-2*beta*r)
+        np.multiply(beta, r, out=eps)               # beta*r
+        np.tanh(eps, out=f)                         # saturates, no overflow risk
+        eps *= -2.0
+        np.exp(eps, out=eps)                        # e = exp(-2*beta*r)
+        np.divide(1.0, r, out=g)                    # g = 1/r
+        np.multiply(g, 0.5, out=ir)                 # ir = 1/(2r)
         np.add(eps, 1.0, out=u)
         eps *= 2.0
         eps /= u                                    # eps = 2*e/(1 + e)
@@ -169,16 +195,16 @@ def _mixture(h, theta, grad=False):
         np.divide(xx, u, out=w)                     # near = x*x/(r + |c|)
         np.multiply(c, eps, out=v)                  # c*eps
         # rm is near where c > 0 and far elsewhere
-        np.add(u, v, out=t)
-        np.add(w, v, out=t, where=np.greater(c, 0.0, out=side))
-        t /= two_r                                  # (rm + c*eps)/(2r)
+        t = np.where(np.greater(c, 0.0, out=side), w, u)
+        t += v
+        t *= ir                                     # (rm + c*eps)*ir
         if some:
             t[tiny] = (0.5 - c * beta / 2.0)[tiny]
         om += t
         # rp is near where c < 0 and far elsewhere
-        np.subtract(u, v, out=t)
-        np.subtract(w, v, out=t, where=np.less(c, 0.0, out=side))
-        t /= two_r                                  # (rp - c*eps)/(2r)
+        t = np.where(np.less(c, 0.0, out=side), w, u)
+        t -= v
+        t *= ir                                     # (rp - c*eps)*ir
         if some:
             t[tiny] = (0.5 + c * beta / 2.0)[tiny]
         op += t
@@ -186,41 +212,37 @@ def _mixture(h, theta, grad=False):
         np.subtract(2.0, eps, out=v)
         v *= eps                                    # sech2 = eps*(2 - eps)
         np.multiply(c, v, out=t)
-        t /= 2.0                                    # c*sech2/2
+        t *= 0.5                                    # c*sech2*0.5
         if some:
             t[tiny] = (c / 2.0)[tiny]
         dT[0] += t                                  # d/dbeta
         v *= beta                                   # beta*sech2
+        np.multiply(g, ir, out=w)                   # q = g*ir = 1/(2*r**2)
         # d(c*A(r))/dc with A = tanh(beta*r)/(2r), as two nonnegative
         # terms: A + (c^2/r) dA/dr cancels once gamma*h << c
-        np.multiply(f, x, out=t)
-        t *= x
-        np.power(r, 3, out=w)
-        w *= 2.0
-        t /= w                                      # f*x*x/(2*r**3)
-        np.square(r, out=w)
-        w *= 2.0                                    # 2*r**2
-        np.multiply(v, c, out=u)
-        u *= c
-        u /= w                                      # beta*sech2*c*c/(2*r**2)
-        t += u                                      # d_dc
+        np.multiply(f, xx, out=t)
+        t *= g                                      # f*x*x*g = f*x*x/r
+        np.multiply(v, cc, out=u)
+        t += u
+        t *= w                                      # d_dc = (f*x*x/r + beta*sech2*c*c)*q
         if some:
             t[tiny] = np.broadcast_to(beta / 2.0, shape)[tiny]
         # dA/dr; vanishes as r -> 0 (leading order -beta^3 r / 3)
-        v /= two_r
-        np.divide(f, w, out=u)
-        v -= u                                      # B = beta*sech2/(2r) - f/(2*r**2)
+        v *= ir
+        np.multiply(f, w, out=u)
+        v -= u                                      # B = beta*sech2*ir - f*q
         if some:
             v[tiny] = 0.0
         dT[1] += t                                  # d/db
-        if s < 0:
-            t *= s
-        dT[2] += t                                  # d/deta: s*d_dc
-        np.multiply(c, x, out=u)
+        if s > 0:
+            dT[2] += t                              # d/deta: s*d_dc
+        else:
+            dT[2] -= t
+        np.multiply(c, g, out=u)
+        u *= x
         u *= h
-        u /= r
         u *= v
-        dT[3] += u                                  # d/dgamma: (c*x*h/r)*B
+        dT[3] += u                                  # d/dgamma: c*g*x*h*B = (c*x*h/r)*B
     return (om, op, dT) if grad else T
 
 
@@ -243,7 +265,12 @@ def effective_field(h, p: QubitParams):
     at gamma = 0 a half underflows to 0, and the result to +-inf, once
     beta*|h + b -+ eta| passes about 372 for both signs.  At beta = 100
     and gamma = b = eta = 0, h = 3.6 gives 360.0000000000014 and h = 4
-    gives inf, with "divide by zero encountered in log".
+    gives inf, with "divide by zero encountered in log".  The second
+    limit is that of the gradient branch, whose r = sqrt(x*x + c*c)
+    overflows once r passes about 1.34e154: past it the result is nan,
+    with overflow warnings.  At (beta, b, eta, gamma) = (11.18, 0.0046,
+    0.0514, 0.0196), h = 1.3e154 gives 4.6254689194730405 and h = 1.35e154
+    gives nan.
     """
     h = np.asarray(h, dtype=float)
     om, op, _ = _mixture(h.ravel(), _theta(p), grad=True)

@@ -510,8 +510,8 @@ class TestFitChip:
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
 
     def test_fields_past_the_kernel_range_are_refused(self):
-        # the kernel overflows near |h| = 1e103, which RuntimeWarning-as-error
-        # turns into a failure; at the bound itself a fit still works
+        # MAX_ABS_FIELD keeps the fitter well inside the range where the
+        # kernel's gradient is finite; at the bound itself a fit still works
         edge = estimator.MAX_ABS_FIELD
         past = float(np.nextafter(edge, np.inf))
         at = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=(-edge, *field_grid(), edge))
@@ -523,6 +523,15 @@ class TestFitChip:
             counts = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=fields)
             with pytest.raises(FitError) as exc:
                 fit_chip(counts)
+            assert str(exc.value) == (f"field {named!r} is outside [-1e+100, 1e+100], "
+                                      f"where the model cannot be evaluated")
+
+    def test_log_likelihood_refuses_fields_past_the_kernel_range(self):
+        edge = estimator.MAX_ABS_FIELD
+        assert np.isfinite(log_likelihood(FIG1_PARAMS, (-1.0, 0.0, edge), (-0.5, 0.0, 0.5)))
+        for h, named in (((-1.0, 0.0, 1e103), 1e103), ((-np.inf, 0.0, 1e200), -np.inf)):
+            with pytest.raises(FitError) as exc:
+                log_likelihood(FIG1_PARAMS, h, (-0.5, 0.0, 0.5))
             assert str(exc.value) == (f"field {named!r} is outside [-1e+100, 1e+100], "
                                       f"where the model cannot be evaluated")
 
@@ -696,10 +705,9 @@ class TestThreadedParts:
 
 
 def _mixture_reference(h, theta, grad=False):
-    """The mixture kernel as it was written before it reused its buffers,
-    expression for expression: a fresh array per operation and every
-    r < _R_EPS limit taken by np.where.  `_mixture` must give the same
-    bits."""
+    """The mixture kernel written expression for expression, a fresh array
+    per operation and every r < _R_EPS limit taken by np.where.  `_mixture`
+    must give the same bits."""
     h = np.asarray(h, dtype=float)
     beta, b, eta, gamma = theta
     x = gamma * h
@@ -707,13 +715,47 @@ def _mixture_reference(h, theta, grad=False):
     dT = np.zeros((4,) + x.shape)
     for s in (+1.0, -1.0):
         c = h + b + s * eta
-        r = np.hypot(x, c)
+        r = np.sqrt(x * x + c * c) if grad else np.hypot(x, c)
         tiny = r < _R_EPS
         safe_r = np.where(tiny, 1.0, r)
         f = np.tanh(beta * safe_r)
         if not grad:
             T += np.where(tiny, c * beta / 2.0, c * f / (2.0 * safe_r))
             continue
+        g = 1.0 / safe_r
+        ir = g * 0.5
+        e = np.exp(beta * safe_r * -2.0)
+        eps = 2.0 * e / (1.0 + e)
+        far = np.abs(c) + safe_r
+        near = x * x / far
+        rm, rp = np.where(c > 0, near, far), np.where(c < 0, near, far)
+        om += np.where(tiny, 0.5 - c * beta / 2.0, (rm + c * eps) * ir)
+        op += np.where(tiny, 0.5 + c * beta / 2.0, (rp - c * eps) * ir)
+        sech2 = (2.0 - eps) * eps
+        q = g * ir
+        d_dc = np.where(tiny, beta / 2.0, (f * (x * x) * g + sech2 * beta * (c * c)) * q)
+        B = np.where(tiny, 0.0, sech2 * beta * ir - f * q)
+        dT[0] += np.where(tiny, c / 2.0, c * sech2 * 0.5)
+        dT[1] += d_dc
+        dT[2] += d_dc if s > 0 else -d_dc
+        dT[3] += c * g * x * h * B
+    return (om, op, dT) if grad else T
+
+
+def _mixture_hypot_pow(h, theta):
+    """(om, op, dT) with r by np.hypot, r**3 by np.power and a division by
+    each of 2r, 2r**2 and 2r**3: the same model as `_mixture`'s gradient
+    branch, rounded differently."""
+    h = np.asarray(h, dtype=float)
+    beta, b, eta, gamma = theta
+    x = gamma * h
+    om, op, dT = np.zeros(x.shape), np.zeros(x.shape), np.zeros((4,) + x.shape)
+    for s in (+1.0, -1.0):
+        c = h + b + s * eta
+        r = np.hypot(x, c)
+        tiny = r < _R_EPS
+        safe_r = np.where(tiny, 1.0, r)
+        f = np.tanh(beta * safe_r)
         e = np.exp(-2.0 * beta * safe_r)
         eps = 2.0 * e / (1.0 + e)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -725,14 +767,14 @@ def _mixture_reference(h, theta, grad=False):
         d_dc = np.where(
             tiny,
             beta / 2.0,
-            f * x * x / (2.0 * safe_r**3) + beta * sech2 * c * c / (2.0 * safe_r**2),
+            f * x * x / (2.0 * np.power(safe_r, 3)) + beta * sech2 * c * c / (2.0 * safe_r**2),
         )
         B = np.where(tiny, 0.0, beta * sech2 / (2.0 * safe_r) - f / (2.0 * safe_r**2))
         dT[0] += np.where(tiny, c / 2.0, c * sech2 / 2.0)
         dT[1] += d_dc
         dT[2] += s * d_dc
         dT[3] += (c * x * h / safe_r) * B
-    return (om, op, dT) if grad else T
+    return om, op, dT
 
 
 def _rowsum_reference(x):
@@ -808,6 +850,28 @@ class TestFieldMajorEvaluation:
                 got, ref = (got,), (ref,)
             for a, b in zip(got, ref, strict=True):
                 assert _same_bits(a, b)
+
+    def test_mixture_is_within_rounding_of_hypot_and_pow(self):
+        # The gradient takes r = sqrt(x*x + c*c), which lies within ~2.5 ulp
+        # of hypot(x, c), and multiplies by 1/(2r) where the old kernel
+        # divided; each rounds an output by a few ulp.  eps = 2e/(1 + e)
+        # carries r's rounding with a gain of 2*beta*r, below ~20 wherever
+        # eps is not negligible beside the near and far terms, hence 1e-14
+        # (~90 ulp) relative on om and op, with a floor at the smallest
+        # normal double.  dT's components cancel near r = 0 (B there is a
+        # difference of terms ~beta/r), so each is bounded by 1e-13 of its
+        # largest magnitude over the fields, per qubit; d/deta, the
+        # difference of the two signs' d_dc, cancels wherever eta is small,
+        # so its scale is that of d/db, their sum.
+        theta = np.vstack([self._thetas(), [3.0, -0.0625, 0.0625, 0.2]])
+        h = np.union1d(field_grid(), [-0.1875, -0.0625, -1e5, -1e3, 1e3])
+        om, op, dT = _mixture(h[:, None], theta.T[:, None, :], grad=True)
+        ref_om, ref_op, ref_dT = _mixture_hypot_pow(h[:, None], theta.T[:, None, :])
+        for got, ref in ((om, ref_om), (op, ref_op)):
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref) + np.finfo(float).tiny)
+        scale = np.abs(ref_dT).max(axis=1, keepdims=True)
+        scale[2] = scale[1]
+        assert np.all(np.abs(dT - ref_dT) <= 1e-13 * scale)
 
     def test_chip_fit_with_the_reference_kernel_is_the_same(self):
         fit, _ = fit_chip(MIXED_CHIP)

@@ -669,3 +669,16 @@ class TestReportFile:
         text = path.read_text()
         assert json.loads(text) == report
         assert text.endswith("}\n") and text.count("\n") == 1  # one line, one newline
+
+    def test_bytes_are_those_of_the_cycle_checking_encoder(self, tmp_path):
+        # write_report skips json's check for cycles; on a report that
+        # build_report makes, the bytes are the same without it
+        ids = [q for q in range(32) if q not in (5, 17)]
+        theta = [QubitParams(10.0 + 0.1 * q, 0.002 - 1e-4 * q, 0.03 + 0.001 * q, 0.017).astuple() for q in ids]
+        n = len(ids)
+        fit = ChipFit(ids, theta, np.linspace(-1.5, -1.0, n), np.ones(n), np.full(n, 81), np.full(n, 81_000),
+                      np.zeros(n))
+        report = build_report(fit, ChimeraSpec(grid=2))
+        path = tmp_path / "report.json"
+        write_report(report, path)
+        assert path.read_bytes() == (json.dumps(report, sort_keys=True) + "\n").encode()
