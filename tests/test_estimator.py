@@ -853,8 +853,8 @@ class TestFieldMajorEvaluation:
 
     def test_mixture_is_within_rounding_of_hypot_and_pow(self):
         # The gradient takes r = sqrt(x*x + c*c), which lies within ~2.5 ulp
-        # of hypot(x, c), and multiplies by 1/(2r) where the old kernel
-        # divided; each rounds an output by a few ulp.  eps = 2e/(1 + e)
+        # of hypot(x, c), and multiplies by 1/(2r) where `_mixture_hypot_pow`
+        # divides; each rounds an output by a few ulp.  eps = 2e/(1 + e)
         # carries r's rounding with a gain of 2*beta*r, below ~20 wherever
         # eps is not negligible beside the near and far terms, hence 1e-14
         # (~90 ulp) relative on om and op, with a floor at the smallest
