@@ -13,27 +13,22 @@ from qasa import (
     effective_field,
     empirical_estimates,
     field_grid,
-    fit_qubit,
-    sample_counts,
+    fit_chip,
+    simulate_chip,
 )
-from qasa.simulator import RawCounts
 
 # a realistic qubit: slope ~11, slight bias, visible noise and saturation
 truth = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
 
 design = SweepDesign(fields=field_grid(), samples_per_field=500_000, seed=7)
-counts = RawCounts(
-    h=np.array(design.fields),
-    samples=np.full(len(design.fields), design.samples_per_field, dtype=np.int64),
-    counts=([305], [sample_counts(truth, design, 305)]),  # (ids, rows)
-)
+counts = simulate_chip(([305], [truth.astuple()]), design)  # a chip of one qubit, id 305
 
 print("empirical effective-field curve (every 10th field):")
 print(f"{'h':>7} {'mean':>9} {'h_eff':>8} {'ci_low':>8} {'ci_high':>8}")
 for e in empirical_estimates(counts, 305)[::10]:
     print(f"{e.h:7.3f} {e.mean:9.5f} {e.h_eff:8.4f} {e.ci_low:8.4f} {e.ci_high:8.4f}")
 
-fit = fit_qubit(counts, 305)  # a ChipFit of one row
+fit, _ = fit_chip(counts)  # a ChipFit of one row
 print("\nrecovered parameters:")
 for name, value in zip(("beta", "b", "eta", "gamma"), fit.theta[0]):
     print(f"  {name:>5} = {value:9.5f}   (truth {getattr(truth, name):9.5f})")

@@ -5,7 +5,7 @@ gamma than the vertical ones, simulates the full sweep, fits every qubit,
 and shows how the orientation split surfaces the asymmetry.
 """
 
-from qasa import SweepDesign, field_grid, fit_chip, orientation_split, simulate_chip, summarize
+from qasa import SweepDesign, build_report, field_grid, fit_chip, simulate_chip, summarize
 from qasa.presets import preset_truth
 from qasa.topology import ChimeraSpec
 
@@ -23,8 +23,9 @@ for name in ("beta", "b", "eta", "gamma"):
           f"  outliers {list(s.outlier_ids)}")
 
 print("\norientation split (the planted asymmetry):")
+splits = build_report(results, spec)["orientation_splits"]
 for name in ("beta", "gamma"):
-    h_sum, v_sum = orientation_split(results, spec, name)
-    print(f"{name:>5}: horizontal median {h_sum.median:8.4f}"
-          f"  vertical median {v_sum.median:8.4f}"
-          f"  diff {h_sum.median - v_sum.median:+.4f}")
+    h_med, v_med = (splits[name][side]["median"] for side in ("horizontal", "vertical"))
+    print(f"{name:>5}: horizontal median {h_med:8.4f}"
+          f"  vertical median {v_med:8.4f}"
+          f"  diff {h_med - v_med:+.4f}")

@@ -5,7 +5,7 @@ model, recovers those parameters per qubit by maximum likelihood, and
 aggregates the results into chip-level analyses.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .model import (
     ParameterError,
@@ -14,15 +14,13 @@ from .model import (
     effective_field,
     spin_expectation,
 )
-from .simulator import RawCounts, SweepDesign, field_grid, sample_counts, simulate_chip
+from .simulator import RawCounts, SweepDesign, field_grid, simulate_chip
 from .estimator import (
     FLAGS,
     ChipFit,
     EffectiveFieldEstimate,
     empirical_estimates,
     fit_chip,
-    fit_qubit,
-    log_likelihood,
 )
 from .topology import ChimeraSpec, sites
 from .analysis import (
@@ -31,7 +29,6 @@ from .analysis import (
     TrendFit,
     build_report,
     fit_log_trend,
-    orientation_split,
     summarize,
     sweep_point,
 )

@@ -99,26 +99,6 @@ def summarize(fit: ChipFit, parameter: str) -> DistributionSummary:
     return _summary(parameter, fit.ids, fit.theta[:, _column(parameter)])
 
 
-def _fitted_sites(fit: ChipFit, spec: ChimeraSpec):
-    """`sites` of the fitted ids, once every one is on the chip."""
-    unknown = set(fit.ids.tolist()) - spec.operational
-    if unknown:
-        raise AnalysisError(f"fitted ids not on chip: {sorted(unknown)[:10]}")
-    return sites(fit.ids, spec)
-
-
-def _split(fit: ChipFit, parameter: str, vertical):
-    vals = fit.theta[:, _column(parameter)]
-    return tuple(_summary(parameter, fit.ids[side], vals[side]) if side.any() else None
-                 for side in (~vertical, vertical))
-
-
-def orientation_split(fit: ChipFit, spec: ChimeraSpec, parameter: str):
-    """(horizontal, vertical) summaries of one parameter; a side with no
-    fitted qubit is None."""
-    return _split(fit, parameter, _fitted_sites(fit, spec)[3])
-
-
 def sweep_point(anneal_time_us: float, fit: ChipFit) -> AnnealSweepPoint:
     """Chip-mean and -std of every parameter for one labeled dataset."""
     if not len(fit):
@@ -148,12 +128,14 @@ def build_report(fit: ChipFit, spec: ChimeraSpec) -> dict:
     ``chip``.  A split side with no fitted qubit is null."""
     report = {"schema_version": SCHEMA_VERSION, "chip": f"chimera:{spec.grid}", "n_qubits": len(fit)}
     report["summaries"] = {p: summarize(fit, p).to_dict() for p in PARAMETERS}
-    row, col, k, vertical = _fitted_sites(fit, spec)
-    splits = {}
-    for p in PARAMETERS:
-        sides = _split(fit, p, vertical)
-        splits[p] = {name: s.to_dict() if s else None for name, s in zip(("horizontal", "vertical"), sides)}
-    report["orientation_splits"] = splits
+    unknown = set(fit.ids.tolist()) - spec.operational
+    if unknown:
+        raise AnalysisError(f"fitted ids not on chip: {sorted(unknown)[:10]}")
+    row, col, k, vertical = sites(fit.ids, spec)
+    report["orientation_splits"] = {
+        p: {name: _summary(p, fit.ids[side], fit.theta[side, j]).to_dict() if side.any() else None
+            for name, side in (("horizontal", ~vertical), ("vertical", vertical))}
+        for j, p in enumerate(PARAMETERS)}
     ids = fit.ids.tolist()
     report["sites"] = {"id": ids, "row": row.tolist(), "col": col.tolist(), "k": k.tolist(),
                        "orientation": ["vertical" if v else "horizontal" for v in vertical.tolist()]}

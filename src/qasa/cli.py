@@ -1,7 +1,9 @@
 """Command-line pipeline: simulate -> fit -> estimate/analyze -> sweep.
 
 A command that succeeds writes a ``<out>.manifest.json`` beside its output
-recording the resolved flags, seed, tool version, and wall-clock duration.
+recording the resolved flags, seed, tool version, and wall-clock duration,
+and any facts about its input that the command returns: ``fit`` records
+whether the sweep has a field outside [-1, 1], as ``fields_outside_unit``.
 A data error (a bad input file, chip, field grid or truth id, or a sweep
 too small to fit) prints one ``qasa: <message>`` line and writes no
 manifest.  Exit codes: 0 success, 1 usage error, 2 data error.
@@ -53,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _write_manifest(args, started):
+def _write_manifest(args, started, facts):
     flags = {k: v for k, v in vars(args).items() if k != "command"}
     manifest = {
         "command": args.command,
@@ -61,6 +63,7 @@ def _write_manifest(args, started):
         "seed": flags.get("seed"),  # only simulate takes one
         "tool_version": __version__,
         "duration_s": round(time.monotonic() - started, 3),
+        **facts,
     }
     with open(str(args.out) + ".manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -106,6 +109,7 @@ def cmd_fit(args):
     write_params(fit, spec, args.out)
     print(f"qasa fit: {len(fit)} fitted, {np.count_nonzero(fit.flags)} flagged "
           f"in {time.monotonic() - started:.2f} s", file=sys.stderr)
+    return {"fields_outside_unit": bool(np.any(np.abs(counts.h) > 1))}
 
 
 def cmd_estimate(args):
@@ -229,13 +233,13 @@ def main(argv=None) -> int:
     leaves the parser as it was and each call gets a fresh namespace, so
     no flag carries over.  The command ``cmd_<name>`` is looked up in this
     module when it runs, so a wrapper installed since (a tracer, a test's
-    patch) still runs.
+    patch) still runs; a dict it returns is added to the manifest.
     """
     try:
         args = _parser().parse_args(argv)
         started = time.monotonic()
-        globals()[f"cmd_{args.command}"](args)
-        _write_manifest(args, started)
+        facts = globals()[f"cmd_{args.command}"](args)
+        _write_manifest(args, started, facts or {})
     except SystemExit as exc:  # argparse: usage error, --help, --version
         return exc.code
     except (ValueError, OSError) as exc:

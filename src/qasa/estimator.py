@@ -46,12 +46,12 @@ qubit that has converged is not evaluated again.
 run on, fits part 0 in the calling thread and each other part on a thread
 of its own, and writes every block's results straight into disjoint rows
 of the columns of one `ChipFit`, the only form a fit takes: on its way to
-the params table and the chip report, and from `fit_qubit` as a table of
-one row.  numpy lets go of the GIL inside each array operation, so the
-parts run side by side, and as a qubit's fit reads only its own column,
-the output is the same bits for any number of parts.  The threads call no
-public function of the package, so a tracer that wraps those sees every
-call on the caller's thread.
+the params table and the chip report, and for one qubit, as the one-row
+fit of a one-column `RawCounts`.  numpy lets go of the GIL inside each
+array operation, so the parts run side by side, and as a qubit's fit
+reads only its own column, the output is the same bits for any number of
+parts.  The threads call no public function of the package, so a tracer
+that wraps those sees every call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import QubitParams, _mixture
+from .model import _mixture
 from .simulator import RawCounts
 
 # Search box; brackets every parameter value seen in practice by a wide margin.
@@ -84,10 +84,6 @@ BOX = {
 _ZERO_FLOOR = 1e-8
 _BOX_LO = np.array([BOX["beta"][0], BOX["b"][0], _ZERO_FLOOR, _ZERO_FLOOR])
 _BOX_HI = np.array([BOX[k][1] for k in ("beta", "b", "eta", "gamma")])
-
-# Threshold below which a fitted noise value may just be grid-resolution
-# artifact rather than true low noise.
-LOW_ETA = 0.005
 
 # Two-sided coverage of the effective-field intervals: z = 3.
 CONFIDENCE = 0.9973
@@ -134,7 +130,7 @@ class EffectiveFieldEstimate:
 
 
 # bit i of ChipFit.flags is FLAGS[i]
-FLAGS = ("low_eta", "at_bound", "fields_outside_unit")
+FLAGS = ("at_bound",)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,18 +292,6 @@ def _objective(h, theta, means, weights):
     return sums[0].copy(), sums[1:5].T.copy(), info
 
 
-def log_likelihood(p: QubitParams, h, means, weights=None):
-    """Weighted model likelihood of empirical spin means.  A field past
-    MAX_ABS_FIELD raises FitError, as it does in `fit_chip`."""
-    h = np.asarray(h, dtype=float)
-    if h.size == 0:
-        raise FitError("no data points")
-    _check_range(h)
-    weights = np.full(h.size, 1.0 / h.size) if weights is None else np.asarray(weights, dtype=float)
-    means = np.asarray(means, dtype=float)[:, None]
-    return float(_objective(h, np.array([p.astuple()]), means, weights)[0][0])
-
-
 def _initial_guess(h, means, lim):
     """Data-driven start per qubit of means (F, Q): slope/intercept of
     arctanh(mean) vs h near the origin, the means clipped to +-lim (F, 1),
@@ -392,24 +376,19 @@ def _fit_block(h, weights, means, lim):
 
 def _check_fields(counts: RawCounts) -> int:
     """The number of distinct fields, once they are enough to fit and
-    within the kernel's range."""
+    within the kernel's range; the error for a field past MAX_ABS_FIELD
+    names the first one."""
     h = np.unique(counts.h)
     if h.size < 8 or h[0] >= 0 or h[-1] <= 0:
         span = f" in [{h[0]}, {h[-1]}]" if h.size else ""
         raise FitError(
             f"need >= 8 distinct fields spanning h < 0 and h > 0, got {h.size}{span}"
         )
-    _check_range(h)
-    return h.size
-
-
-def _check_range(h):
-    """Raise FitError, naming the first field of h past MAX_ABS_FIELD, if
-    there is one."""
     wide = h[np.abs(h) > MAX_ABS_FIELD]
     if wide.size:
         raise FitError(f"field {float(wide[0])!r} is outside [-{MAX_ABS_FIELD:g}, {MAX_ABS_FIELD:g}], "
                        f"where the model cannot be evaluated")
+    return h.size
 
 
 def _cpus() -> int:
@@ -437,11 +416,15 @@ def fit_chip(counts: RawCounts, workers: int = 1):
 
     Returns (fit, failures): fit is the ChipFit of every qubit, and
     failures is always empty; it stays only because the benchmark harness
-    unpacks the pair.  Needs at least 8 distinct fields covering both signs
-    of h, and raises FitError for the whole sweep otherwise: with fewer
-    points the noise and transverse terms are not identifiable.  A sweep
-    with enough fields but no qubits raises FitError too, as does a qubit
-    id of 2**63 or more, which the fit's int64 id column cannot hold.
+    unpacks the pair.  A qubit's row is its fit alone, so one qubit is
+    fitted as a `RawCounts` of its one column.  The one flag, "at_bound",
+    marks a qubit with a parameter within 1e-3 of a box edge other than
+    the zero floor of eta and gamma.  Needs at least 8 distinct fields
+    covering both signs of h, and raises FitError for the whole sweep
+    otherwise: with fewer points the noise and transverse terms are not
+    identifiable.  A sweep with enough fields but no qubits raises FitError
+    too, as does a qubit id of 2**63 or more, which the fit's int64 id
+    column cannot hold.
 
     The qubits are cut into k contiguous parts of near-equal size, k the
     number of CPUs the process may run on but no more than the number of
@@ -486,21 +469,10 @@ def fit_chip(counts: RawCounts, workers: int = 1):
     for exc in errors:
         if exc is not None:
             raise exc
-    low_eta = theta[:, 2] < LOW_ETA
     # eta/gamma sitting on their natural zero floor is ordinary, not a
     # search-box artifact, so only the remaining edges are flagged
     at_bound = (np.any(np.abs(theta - _BOX_HI) <= 1e-3, axis=1)
                 | np.any(np.abs(theta[:, :2] - _BOX_LO[:2]) <= 1e-3, axis=1))
-    outside = np.full(n, np.any(np.abs(counts.h) > 1))
-    # one bit per name of FLAGS, in its order
-    flags = sum(mask.astype(np.uint8) << bit for bit, mask in enumerate((low_eta, at_bound, outside)))
     fit = ChipFit(ids, theta, ll, converged, np.full(n, n_points),
-                  np.full(n, int(counts.samples.sum())), flags)
+                  np.full(n, int(counts.samples.sum())), at_bound)
     return fit, {}
-
-
-def fit_qubit(counts: RawCounts, qubit: int) -> ChipFit:
-    """Maximum-likelihood parameters of one qubit: the one-row ChipFit that
-    `fit_chip` gives for its column."""
-    _check_qubit(counts, qubit)
-    return fit_chip(RawCounts(counts.h, counts.samples, ([qubit], [counts.counts[qubit]])))[0]

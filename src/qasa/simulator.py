@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .model import QubitParams, _check_param_table, _mixture, _theta
+from .model import _check_param_table, _mixture
 
 
 class DesignError(ValueError):
@@ -192,12 +192,6 @@ def _p_minus(theta, design: SweepDesign):
     return (1.0 - _mixture(np.array(design.fields), theta)) / 2.0
 
 
-def sample_counts(p: QubitParams, design: SweepDesign, stream_key: int) -> np.ndarray:
-    """Draw the -1 tally for every field of the design, one binomial each,
-    from the stream of qubit id `stream_key`."""
-    return _draw(_p_minus(_theta(p), design), design, [stream_key])[0]
-
-
 def simulate_chip(truth, design: SweepDesign, operational=None) -> RawCounts:
     """Sample a whole chip.
 
@@ -210,7 +204,7 @@ def simulate_chip(truth, design: SweepDesign, operational=None) -> RawCounts:
     ignored.  Every qubit's spin means come from one kernel call; each
     qubit then draws its fields in order from its own (seed, qubit id)
     stream, so its row does not depend on which other qubits are simulated
-    with it.
+    with it: a one-row table ([q], [theta_q]) draws qubit q's row alone.
     """
     if isinstance(truth, Mapping):
         truth = sorted(truth), np.array([truth[q].astuple() for q in sorted(truth)]).reshape(-1, 4)

@@ -13,17 +13,15 @@ import numpy as np
 from qasa import (
     QubitParams,
     SweepDesign,
+    build_report,
     density_matrix_expectation,
     effective_field,
     empirical_estimates,
     field_grid,
     fit_chip,
     fit_log_trend,
-    fit_qubit,
-    orientation_split,
     read_params,
     read_raw,
-    sample_counts,
     simulate_chip,
     spin_expectation,
     write_raw,
@@ -45,12 +43,9 @@ def report(name, ok, detail=""):
 
 
 def single_qubit_counts(p, m, seed, qubit=0):
+    """A chip of one qubit, id `qubit`, of parameters p."""
     d = SweepDesign(fields=field_grid(), samples_per_field=m, seed=seed)
-    return RawCounts(
-        h=np.array(d.fields),
-        samples=np.full(81, m, dtype=np.int64),
-        counts={qubit: sample_counts(p, d, qubit)},
-    )
+    return simulate_chip(([qubit], [p.astuple()]), d)
 
 
 def test_a1_oracle_equivalence():
@@ -71,7 +66,7 @@ def test_a1_oracle_equivalence():
 def test_a2_paper_scale_round_trip():
     start = time.monotonic()
     counts = single_qubit_counts(FIG1_PARAMS, 5_000_000, seed=0, qubit=305)
-    fit = fit_qubit(counts, 305)
+    fit, _ = fit_chip(counts)
     elapsed = time.monotonic() - start
     p = QubitParams(*fit.theta[0])
     ok = (
@@ -121,9 +116,9 @@ def test_a4_hv_split_detection():
         results, failures = fit_chip(counts)
         assert not failures
         ok = True
+        splits = build_report(results, spec)["orientation_splits"]
         for name, target in targets.items():
-            h_sum, v_sum = orientation_split(results, spec, name)
-            diff = h_sum.median - v_sum.median
+            diff = splits[name]["horizontal"]["median"] - splits[name]["vertical"]["median"]
             ok &= diff > 0 and abs(diff - target) / target <= 0.5
         wins += int(ok)
     elapsed = time.monotonic() - start

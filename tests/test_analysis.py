@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qasa import QubitParams, build_report, fit_log_trend, orientation_split, summarize, sweep_point
+from qasa import QubitParams, build_report, fit_log_trend, summarize, sweep_point
 from qasa import analysis
 from qasa.analysis import PARAMETERS, AnalysisError, AnnealSweepPoint
 from qasa.estimator import ChipFit
@@ -24,6 +24,13 @@ def fake_fit(params):
 
 def is_horizontal(q, spec):
     return not sites([q], spec)[3][0]
+
+
+def split(fit, spec, parameter):
+    """The (horizontal, vertical) summaries of one parameter in the report,
+    as dicts; a side with no fitted qubit is None."""
+    sides = build_report(fit, spec)["orientation_splits"][parameter]
+    return sides["horizontal"], sides["vertical"]
 
 
 class TestSummarize:
@@ -74,9 +81,9 @@ class TestOrientationSplit:
     def test_identical_params(self):
         spec = ChimeraSpec(grid=2)
         results = fake_fit({q: fake_params() for q in spec.operational})
-        h_sum, v_sum = orientation_split(results, spec, "gamma")
-        assert h_sum.median == v_sum.median == 0.0176
-        assert h_sum.count == v_sum.count == 16
+        h_sum, v_sum = split(results, spec, "gamma")
+        assert h_sum["median"] == v_sum["median"] == 0.0176
+        assert h_sum["count"] == v_sum["count"] == 16
 
     def test_split_recovery(self):
         spec = ChimeraSpec(grid=4)
@@ -85,25 +92,23 @@ class TestOrientationSplit:
         for q in spec.operational:
             target = 0.0187 if is_horizontal(q, spec) else 0.0165
             results[q] = fake_params(gamma=max(target + rng.normal(0, 0.002), 0.0))
-        h_sum, v_sum = orientation_split(fake_fit(results), spec, "gamma")
-        assert abs(h_sum.median - 0.0187) <= 0.001
-        assert abs(v_sum.median - 0.0165) <= 0.001
+        h_sum, v_sum = split(fake_fit(results), spec, "gamma")
+        assert abs(h_sum["median"] - 0.0187) <= 0.001
+        assert abs(v_sum["median"] - 0.0165) <= 0.001
 
     def test_empty_side_is_none(self):
         spec = ChimeraSpec(grid=1)
         results = fake_fit({q: fake_params(beta=10.0 + q) for q in (0, 1, 2, 3)})
-        h_sum, v_sum = orientation_split(results, spec, "beta")
+        h_sum, v_sum = split(results, spec, "beta")
         assert h_sum is None
-        assert v_sum.count == 4
-        assert v_sum.median == summarize(results, "beta").median == 11.5
-        report = build_report(results, spec)
-        assert report["orientation_splits"]["beta"]["horizontal"] is None
-        assert report["orientation_splits"]["beta"]["vertical"] == v_sum.to_dict()
+        assert v_sum["count"] == 4
+        assert v_sum["median"] == summarize(results, "beta").median == 11.5
+        assert v_sum == summarize(results, "beta").to_dict()
 
     def test_id_not_on_chip(self):
         spec = ChimeraSpec(grid=1)
         with pytest.raises(AnalysisError):
-            orientation_split(fake_fit({99: fake_params()}), spec, "beta")
+            split(fake_fit({99: fake_params()}), spec, "beta")
 
 
 class TestTrendFit:
@@ -225,11 +230,13 @@ class TestReport:
         with mock.patch.object(analysis, "sites", wraps=sites) as decode:
             report = build_report(results, spec)
         assert decode.call_count == 1
-        # the splits are those orientation_split gives one parameter at a time
+        # each side is the summary of a fit of that side's qubits alone
+        vertical = sites(results.ids, spec)[3]
         for p in PARAMETERS:
-            horizontal, vertical = orientation_split(results, spec, p)
-            assert report["orientation_splits"][p] == {"horizontal": horizontal.to_dict(),
-                                                       "vertical": vertical.to_dict()}
+            sides = {name: fake_fit({q: results.theta[i] for i, q in enumerate(results.ids.tolist()) if side[i]})
+                     for name, side in (("horizontal", ~vertical), ("vertical", vertical))}
+            assert report["orientation_splits"][p] == {name: summarize(fit, p).to_dict()
+                                                       for name, fit in sides.items()}
 
     def test_ids_off_the_chip_are_refused(self):
         with pytest.raises(AnalysisError, match=r"fitted ids not on chip: \[99\]"):

@@ -90,7 +90,9 @@ class TestManifest:
         manifest = json.loads((tmp_path / "out.manifest.json").read_text())
         flags = vars(build_parser().parse_args(argv))
         del flags["command"]
-        assert manifest.keys() == {"command", "flags", "seed", "tool_version", "duration_s"}
+        facts = {"fields_outside_unit"} if command == "fit" else set()
+        assert manifest.keys() == {"command", "flags", "seed", "tool_version", "duration_s"} | facts
+        assert manifest.get("fields_outside_unit", False) is False
         assert manifest["command"] == command
         assert manifest["flags"] == flags
         assert manifest["seed"] == (7 if command == "simulate" else None)
@@ -425,6 +427,27 @@ class TestFit:
         assert run(["fit", "--in", str(bad), "--out", str(tmp_path / "q.csv")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("qasa: need >= 8 distinct fields ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("simulate, outside", [
+        (["--truth", "preset:median", "--samples", "100000"], False),
+        (["--truth", "preset:median", "--h-min", "-2", "--h-max", "2", "--h-step", "0.05",
+          "--samples", "100000"], True),
+        (["--truth", "{truth}", "--samples", "5000000"], False),
+    ], ids=["quickstart", "wide-sweep", "eta-0.003"])
+    def test_flagged_counts_only_qubits_at_a_box_edge(self, tmp_path, capsys, simulate, outside):
+        # neither a sweep past [-1, 1] nor a quiet chip puts a qubit at a
+        # box edge; the wide sweep is one fact, which the manifest records
+        truth = tmp_path / "truth.csv"
+        truth.write_text("qubit_id,beta,b,eta,gamma\n"
+                         + "".join(f"{q},10.54,0.0025,0.003,0.0176\n" for q in range(32)))
+        raw, params = tmp_path / "raw.csv", tmp_path / "params.csv"
+        argv = ["simulate", "--chip", "chimera:2", "--seed", "1", "--out", str(raw), *simulate]
+        assert run([str(truth) if a == "{truth}" else a for a in argv]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["fit", "--in", str(raw), "--chip", "chimera:2", "--out", str(params)]) == EXIT_OK
+        assert re.fullmatch(r"qasa fit: 32 fitted, 0 flagged in \d+\.\d\d s\n", capsys.readouterr().err)
+        manifest = json.loads((tmp_path / "params.csv.manifest.json").read_text())
+        assert manifest["fields_outside_unit"] is outside
 
     def test_non_finite_field_exit(self, tmp_path):
         bad = tmp_path / "bad.csv"

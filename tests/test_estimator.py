@@ -17,9 +17,6 @@ from qasa import (
     empirical_estimates,
     field_grid,
     fit_chip,
-    fit_qubit,
-    log_likelihood,
-    sample_counts,
     simulate_chip,
 )
 from qasa import estimator, model
@@ -32,13 +29,22 @@ FIG1_PARAMS = QubitParams(beta=11.18, b=0.0046, eta=0.0514, gamma=0.0196)
 
 
 def synth_counts(p, m, seed, qubit=0, fields=None):
+    """The counts of a chip of one qubit, id `qubit`, of parameters p."""
     d = SweepDesign(fields=fields or field_grid(), samples_per_field=m, seed=seed)
-    c = sample_counts(p, d, qubit)
-    return RawCounts(
-        h=np.array(d.fields),
-        samples=np.full(len(d.fields), m, dtype=np.int64),
-        counts={qubit: c},
-    )
+    return simulate_chip(([qubit], [p.astuple()]), d)
+
+
+def one_column(counts, q):
+    """Qubit q's column of counts, as a sweep of its own."""
+    return RawCounts(counts.h, counts.samples, ([q], [counts.counts[q]]))
+
+
+def likelihood(counts, theta):
+    """The weighted log-likelihood that `fit_chip` maximizes, of row i of
+    theta (Q, 4) against qubit i of counts."""
+    means, weights = _means_and_weights(counts)
+    theta = np.asarray(theta, dtype=float).reshape(-1, 4)
+    return estimator._objective(counts.h, theta, np.ascontiguousarray(means), weights)[0]
 
 
 def flagged(fit, i, name):
@@ -138,9 +144,12 @@ class TestEmpiricalEstimates:
 
 
 class TestLogLikelihood:
+    """The likelihood as the fitter evaluates it, `_objective`'s first output."""
+
     def test_zero_at_origin(self):
         p = QubitParams(10.0, 0, 0.03, 0.02)
-        assert log_likelihood(p, [0.0], [0.0]) == 0.0
+        ll = estimator._objective(np.array([0.0]), np.array([p.astuple()]), np.zeros((1, 1)), np.ones(1))[0]
+        assert ll[0] == 0.0
 
     def test_stationary_at_matched_mean(self):
         p = QubitParams(8.0, 0.002, 0.04, 0.015)
@@ -152,19 +161,18 @@ class TestLogLikelihood:
 
     def test_dominance_over_truth(self):
         counts = synth_counts(FIG1_PARAMS, 100_000, seed=9)
-        fit = fit_qubit(counts, 0)
-        m = (counts.samples - 2.0 * counts.counts[0]) / counts.samples
-        assert log_likelihood(QubitParams(*fit.theta[0]), counts.h, m) >= log_likelihood(FIG1_PARAMS, counts.h, m)
+        fit, _ = fit_chip(counts)
+        assert likelihood(counts, fit.theta) >= likelihood(counts, FIG1_PARAMS.astuple())
 
     def test_empty_data(self):
         with pytest.raises(FitError):
-            log_likelihood(FIG1_PARAMS, [], [])
+            fit_chip(RawCounts(np.array([]), np.array([]), ([0], np.empty((1, 0)))))
 
 
 class TestGradient:
     def test_matches_finite_differences(self):
-        """The score `_objective` gives the fitter is the gradient of
-        `log_likelihood`."""
+        """The score `_objective` gives the fitter is the gradient of the
+        likelihood it gives."""
         rng = np.random.default_rng(42)
         h = np.array(field_grid())
         weights = np.full(h.size, 1.0 / h.size)
@@ -181,6 +189,9 @@ class TestGradient:
                 -0.999999,
                 0.999999,
             )
+            def ll(theta):
+                return estimator._objective(h, np.array([theta]), m[:, None], weights)[0][0]
+
             grad = estimator._objective(h, np.array([p.astuple()]), m[:, None], weights)[1][0]
             fd = np.empty(4)
             for i in range(4):
@@ -188,19 +199,18 @@ class TestGradient:
                 dn = list(p.astuple())
                 up[i] += eps
                 dn[i] -= eps
-                fd[i] = (
-                    log_likelihood(QubitParams(*up), h, m)
-                    - log_likelihood(QubitParams(*dn), h, m)
-                ) / (2 * eps)
+                fd[i] = (ll(up) - ll(dn)) / (2 * eps)
             # relative to the gradient norm; tiny components are pure FD
             # roundoff at step 1e-6
             assert np.max(np.abs(grad - fd)) / max(np.linalg.norm(fd), 1e-12) <= 1e-5
 
 
 class TestFitQubit:
+    """One qubit's fit: `fit_chip` on a chip of that qubit alone."""
+
     def test_recovers_fig1_qubit(self):
         counts = synth_counts(FIG1_PARAMS, 5_000_000, seed=1, qubit=305)
-        fit = fit_qubit(counts, 305)
+        fit, _ = fit_chip(counts)
         beta, b, eta, gamma = fit.theta[0]
         assert fit.converged[0] == 1
         assert abs(beta - 11.18) / 11.18 <= 0.02
@@ -210,7 +220,7 @@ class TestFitQubit:
 
     def test_recovers_classical_qubit(self):
         counts = synth_counts(QubitParams(10.0, 0, 0, 0), 10**6, seed=2)
-        beta, b, eta, gamma = fit_qubit(counts, 0).theta[0]
+        beta, b, eta, gamma = fit_chip(counts)[0].theta[0]
         assert 9.8 <= beta <= 10.2
         assert abs(b) <= 0.01
         assert eta <= 0.01
@@ -218,14 +228,17 @@ class TestFitQubit:
 
     def test_box_corner_is_flagged(self):
         counts = synth_counts(QubitParams(100.0, 0, 0, 0), 10**6, seed=3)
-        fit = fit_qubit(counts, 0)
+        fit, _ = fit_chip(counts)
         assert fit.converged[0] == 1
         assert fit.theta[0, 0] >= 99.0
         assert flagged(fit, 0, "at_bound")
 
-    def test_low_eta_flag(self):
+    def test_zero_eta_qubit_is_not_flagged(self):
+        # a fit near eta's zero floor is ordinary: only a box edge is flagged
         counts = synth_counts(QubitParams(10.0, 0, 0, 0.02), 10**6, seed=4)
-        assert flagged(fit_qubit(counts, 0), 0, "low_eta")
+        fit, _ = fit_chip(counts)
+        assert fit.theta[0, 2] < 0.005
+        assert fit.flags.tolist() == [0]
 
     def test_start_from_one_repeated_central_field(self):
         # the start's line fit near h = 0 sees a single field, twice
@@ -237,19 +250,19 @@ class TestFitQubit:
             samples=np.insert(c.samples, at, c.samples[at]),
             counts={0: np.insert(c.counts[0], at, c.counts[0][at])},
         )
-        fit = fit_qubit(counts, 0)
+        fit, _ = fit_chip(counts)
         assert fit.converged[0] == 1
         assert abs(fit.theta[0, 0] - 3.0) / 3.0 <= 0.1
 
     def test_insufficient_fields_rejected(self):
         counts = synth_counts(FIG1_PARAMS, 1000, seed=5, fields=(-0.5, 0.0, 0.5))
         with pytest.raises(FitError):
-            fit_qubit(counts, 0)
+            fit_chip(counts)
         one_sided = synth_counts(
             FIG1_PARAMS, 1000, seed=5, fields=tuple(np.linspace(0.1, 1.0, 10))
         )
         with pytest.raises(FitError):
-            fit_qubit(one_sided, 0)
+            fit_chip(one_sided)
 
     def test_sign_equivariance(self):
         counts = synth_counts(FIG1_PARAMS, 10**6, seed=6)
@@ -258,8 +271,8 @@ class TestFitQubit:
             samples=counts.samples[::-1],
             counts={0: counts.samples[::-1] - counts.counts[0][::-1]},
         )
-        r = QubitParams(*fit_qubit(counts, 0).theta[0])
-        rm = QubitParams(*fit_qubit(mirrored, 0).theta[0])
+        r = QubitParams(*fit_chip(counts)[0].theta[0])
+        rm = QubitParams(*fit_chip(mirrored)[0].theta[0])
         assert rm.b == pytest.approx(-r.b, abs=5e-4)
         assert rm.beta == pytest.approx(r.beta, rel=1e-3)
         assert rm.eta == pytest.approx(r.eta, abs=5e-4)
@@ -271,7 +284,7 @@ class TestFitQubit:
             errs = []
             for seed in range(20):
                 counts = synth_counts(FIG1_PARAMS, m, seed=seed)
-                beta = fit_qubit(counts, 0).theta[0, 0]
+                beta = fit_chip(counts)[0].theta[0, 0]
                 errs.append(abs(beta - 11.18) / 11.18)
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
@@ -349,6 +362,29 @@ class TestLikelihoodMaximum:
             rises += [(key, q, r) for q, r in zip(low.tolist(), rise.tolist()) if r > 1e-12]
         assert rises == []
 
+    @pytest.mark.xfail(strict=True, reason="from the start's corrected bias sign, this fit ends at the "
+                                           "beta box edge below the truth's likelihood")
+    def test_a_start_of_the_right_bias_sign_reaches_the_maximum(self, stress_set):
+        # arctanh(m) ~ beta*(h + b) makes the start's intercept beta*b, yet
+        # `_initial_guess` takes b0 = -intercept/beta0; on the benchmark chip
+        # corr(b0, fitted b) is -1.000.  From +intercept/beta0 (the box in b
+        # is symmetric, so that is today's start with b0 negated) this qubit
+        # (truth beta 50.9, eta 0.0146, gamma 0) ended at beta = 100, 8.1e-6
+        # below the truth's L, where today's start ends at beta 44.9, 8.2e-7
+        # above it
+        (counts, truth), = [(c, t) for key, c, t, _ in stress_set if key == (103, 26, 100_000)]
+        initial_guess = estimator._initial_guess
+
+        def corrected(h, means, lim):
+            start = initial_guess(h, means, lim)
+            start[:, 1] *= -1.0
+            return start
+
+        qubit = one_column(counts, 39)
+        with mock.patch.object(estimator, "_initial_guess", corrected):
+            fit, _ = fit_chip(qubit)
+        assert fit.log_likelihood[0] >= likelihood(qubit, truth[39])[0] - 1e-12
+
     def test_low_noise_fits_reach_the_maximum(self):
         # eta and gamma both near their zero floor, where the likelihood is
         # nearly flat in them; no fit may end below the truth's likelihood
@@ -366,13 +402,10 @@ class TestLikelihoodMaximum:
         results, failures = fit_chip(counts)
         assert not failures
         assert results.ids.tolist() == list(truth)
-        w = counts.samples / counts.samples.sum()
-        for i, (q, p) in enumerate(truth.items()):
-            m = (counts.samples - 2.0 * counts.counts[q]) / counts.samples
-            ll = results.log_likelihood[i]
-            assert results.converged[i] == 1
-            assert ll == log_likelihood(QubitParams(*results.theta[i]), counts.h, m, w)
-            assert ll >= log_likelihood(p, counts.h, m, w)
+        assert (results.converged == 1).all()
+        ll = results.log_likelihood
+        assert _same_bits(ll, likelihood(counts, results.theta))
+        assert (ll >= likelihood(counts, [p.astuple() for p in truth.values()])).all()
 
     def test_fine_steps_must_shrink_the_decrement(self):
         # hard qubits at 1e3 shots: a fine step that does not shrink the
@@ -505,7 +538,7 @@ class TestFitChip:
         with pytest.raises(FitError) as chip:
             fit_chip(counts)
         with pytest.raises(FitError) as qubit:
-            fit_qubit(counts, 4)
+            fit_chip(one_column(counts, 4))
         assert str(chip.value) == str(qubit.value) == \
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 0"
 
@@ -526,20 +559,6 @@ class TestFitChip:
             assert str(exc.value) == (f"field {named!r} is outside [-1e+100, 1e+100], "
                                       f"where the model cannot be evaluated")
 
-    def test_log_likelihood_refuses_fields_past_the_kernel_range(self):
-        edge = estimator.MAX_ABS_FIELD
-        assert np.isfinite(log_likelihood(FIG1_PARAMS, (-1.0, 0.0, edge), (-0.5, 0.0, 0.5)))
-        for h, named in (((-1.0, 0.0, 1e103), 1e103), ((-np.inf, 0.0, 1e200), -np.inf)):
-            with pytest.raises(FitError) as exc:
-                log_likelihood(FIG1_PARAMS, h, (-0.5, 0.0, 0.5))
-            assert str(exc.value) == (f"field {named!r} is outside [-1e+100, 1e+100], "
-                                      f"where the model cannot be evaluated")
-
-    def test_fields_outside_unit_flag(self):
-        wide = synth_counts(FIG1_PARAMS, 100_000, seed=9, fields=tuple(np.linspace(-2, 2, 17)))
-        assert flagged(fit_qubit(wide, 0), 0, "fields_outside_unit")
-        assert not flagged(fit_qubit(MIXED_CHIP, 0), 0, "fields_outside_unit")
-
     def test_identical_counts_identical_results(self):
         base = synth_counts(FIG1_PARAMS, 100_000, seed=7)
         counts = RawCounts(
@@ -559,11 +578,11 @@ class TestFitChip:
         assert serial.ids.tolist() == parallel.ids.tolist()
         assert np.array_equal(serial.theta, parallel.theta)
 
-    def test_fit_qubit_is_chip_fit_of_one_column(self):
+    def test_one_column_fit_is_its_row_of_the_chip_fit(self):
         counts = MIXED_CHIP
         chip, _ = fit_chip(counts)
         for q in (0, 5, 11):
-            one = fit_qubit(counts, q)
+            one, _ = fit_chip(one_column(counts, q))
             assert isinstance(one, estimator.ChipFit) and one.ids.tolist() == [q]
             assert row(one, 0) == row(chip, q)
 
@@ -614,7 +633,7 @@ class TestFitChip:
         with pytest.raises(FitError) as chip:
             fit_chip(few)
         with pytest.raises(FitError) as qubit:
-            fit_qubit(few, 1)
+            fit_chip(one_column(few, 1))
         assert str(chip.value) == str(qubit.value) == \
             "need >= 8 distinct fields spanning h < 0 and h > 0, got 2 in [-0.5, 0.5]"
 
@@ -922,9 +941,9 @@ class TestChipFit:
     def test_chip_fit_sets_every_flag_in_order(self):
         d = SweepDesign(fields=field_grid(-1.5, 1.5, 0.025), samples_per_field=10**6, seed=3)
         fit, _ = fit_chip(simulate_chip({0: QubitParams(100.0, 0, 0, 0)}, d))
-        assert fit.flags.tolist() == [7]
-        assert estimator.FLAGS == ("low_eta", "at_bound", "fields_outside_unit")
-        assert [flagged(fit, 0, name) for name in estimator.FLAGS] == [1, 1, 1]
+        assert fit.flags.tolist() == [1]
+        assert estimator.FLAGS == ("at_bound",)
+        assert [flagged(fit, 0, name) for name in estimator.FLAGS] == [1]
 
     def test_columns_are_read_only_copies(self):
         ids = np.array([4, 1])

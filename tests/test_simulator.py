@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qasa import (
-    QubitParams, SweepDesign, field_grid, read_raw, sample_counts, simulate_chip, write_raw,
-)
+from qasa import QubitParams, SweepDesign, field_grid, read_raw, simulate_chip, write_raw
 from qasa.model import _theta
 from qasa.presets import HV_HORIZONTAL, HV_VERTICAL, MEDIAN, preset_truth
 from qasa.simulator import MAX_FIELDS, CoverageError, DesignError, RawCounts, _p_minus
@@ -13,6 +11,11 @@ from qasa.topology import ChimeraSpec, sites
 
 def make_design(m, seed=0, fields=None):
     return SweepDesign(fields=fields or field_grid(), samples_per_field=m, seed=seed)
+
+
+def draw_one(p, design, q):
+    """Qubit q's tallies, drawn as a chip of that one qubit."""
+    return simulate_chip(([q], [p.astuple()]), design).table[0]
 
 
 class TestSweepDesign:
@@ -61,37 +64,39 @@ class TestSweepDesign:
 
 
 class TestSampleCounts:
+    """The tallies of one qubit, drawn by `draw_one`."""
+
     def test_stream_layout_is_pinned(self):
         # one Philox stream per (seed, qubit id), fields drawn in order; a
         # change of stream layout changes these numbers and must edit them
         p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
         d = SweepDesign(fields=(-0.5, -0.1, 0.0, 0.1, 0.5), samples_per_field=10_000, seed=7)
-        assert np.array_equal(sample_counts(p, d, 3), [9999, 8568, 4858, 1235, 0])
+        assert np.array_equal(draw_one(p, d, 3), [9999, 8568, 4858, 1235, 0])
 
     def test_determinism(self):
         p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
         d = make_design(10_000, seed=7)
-        assert np.array_equal(sample_counts(p, d, 3), sample_counts(p, d, 3))
+        assert np.array_equal(draw_one(p, d, 3), draw_one(p, d, 3))
 
     def test_seed_and_stream_sensitivity(self):
         p = QubitParams(10.54, 0.0025, 0.0367, 0.0176)
         d = make_design(10_000, seed=7)
-        assert not np.array_equal(sample_counts(p, d, 3), sample_counts(p, d, 4))
+        assert not np.array_equal(draw_one(p, d, 3), draw_one(p, d, 4))
         assert not np.array_equal(
-            sample_counts(p, d, 3), sample_counts(p, make_design(10_000, seed=8), 3)
+            draw_one(p, d, 3), draw_one(p, make_design(10_000, seed=8), 3)
         )
 
     def test_counts_within_bounds(self):
         p = QubitParams(10.0, 0, 0, 0)
         d = make_design(1000, seed=1)
-        c = sample_counts(p, d, 0)
+        c = draw_one(p, d, 0)
         assert np.all(c >= 0) and np.all(c <= 1000)
 
     def test_fair_coin_at_origin(self):
         p = QubitParams(10.0, 0, 0, 0)
         m = 1_000_000
         d = SweepDesign(fields=(0.0,), samples_per_field=m, seed=2)
-        c = sample_counts(p, d, 0)[0]
+        c = draw_one(p, d, 0)[0]
         assert abs(c / m - 0.5) <= 3.0 / (2.0 * np.sqrt(m))
 
     def test_binomial_concentration(self):
@@ -101,7 +106,7 @@ class TestSampleCounts:
         hits = total = 0
         for seed in range(5):
             d = make_design(m, seed=seed)
-            c = sample_counts(p, d, 0)
+            c = draw_one(p, d, 0)
             mean = 1.0 - 2.0 * c / m
             target = np.tanh(10.0 * np.array(d.fields))
             sigma = np.sqrt(np.maximum(1.0 - target**2, 1e-30) / m)
@@ -114,7 +119,7 @@ class TestSampleCounts:
         devs = []
         for m in (10**3, 10**5, 10**7):
             d = SweepDesign(fields=(0.1,), samples_per_field=m, seed=11)
-            c = sample_counts(p, d, 0)[0]
+            c = draw_one(p, d, 0)[0]
             p_minus = (1.0 - np.tanh(0.5)) / 2.0
             devs.append(abs(c / m - p_minus) * np.sqrt(m))
         # scaled deviation stays O(1) across four orders of magnitude in M
@@ -202,7 +207,7 @@ class TestSimulateChip:
         with pytest.raises(ValueError, match=message):
             simulate_chip(([1, q], np.array([p.astuple()] * 2)), d)
         with pytest.raises(ValueError, match=message):
-            sample_counts(p, d, q)
+            draw_one(p, d, q)
         with pytest.raises(ValueError, match=message):
             RawCounts(np.array([0.0, 0.5]), np.array([10, 20]), ([1, q], [[1, 2], [3, 4]]))
 
@@ -214,7 +219,7 @@ class TestSimulateChip:
         assert (a == b) is False and (a == a) is True and (a != b) is True
 
     def test_matches_per_qubit_sampling(self):
-        # the chip's one batched kernel call draws what sample_counts draws
+        # the chip's one batched kernel call draws what each qubit draws alone
         rng = np.random.default_rng(12)
         truth = {
             q: QubitParams(rng.uniform(1, 100), rng.uniform(-0.2, 0.2), rng.uniform(0, 0.5), rng.uniform(0, 0.5))
@@ -223,7 +228,7 @@ class TestSimulateChip:
         d = make_design(100_000, seed=5)
         chip = simulate_chip(truth, d)
         for q, p in truth.items():
-            assert np.array_equal(chip.counts[q], sample_counts(p, d, q))
+            assert np.array_equal(chip.counts[q], draw_one(p, d, q))
 
 
 # qubit ids spread over 64 bits, including pairs that share their low 32 bits
@@ -249,7 +254,7 @@ class TestStreamLayout:
         assert part.qubit_ids == sorted(ids)
         for q in ids:
             assert np.array_equal(part.counts[q], SPLIT_CHIP.counts[q])
-            assert np.array_equal(part.counts[q], sample_counts(SPLIT_TRUTH[q], SPLIT_DESIGN, q))
+            assert np.array_equal(part.counts[q], draw_one(SPLIT_TRUTH[q], SPLIT_DESIGN, q))
 
     def test_ids_equal_in_low_32_bits_draw_different_columns(self):
         # the key holds all 64 bits of the id: ids equal in their low 32 bits
@@ -302,7 +307,7 @@ class TestRekeyedStream:
         for q, p in truth.items():
             expected = fresh_stream(seed, q, n, p_minus_of(p, d))
             assert np.array_equal(chip.counts[q], expected)
-            assert np.array_equal(sample_counts(p, d, q), expected)
+            assert np.array_equal(draw_one(p, d, q), expected)
 
     @pytest.mark.parametrize("n", [50, 5_000_000])  # binomial by inversion, then by BTPE
     @pytest.mark.parametrize("h", [-0.05, 0.05])  # p_minus above and below 1/2
